@@ -20,7 +20,6 @@
 
 #include "active/learner.hpp"
 #include "bench_support.hpp"
-#include "flow/hybrid.hpp"
 #include "libgen/builder.hpp"
 #include "libgen/technology.hpp"
 #include "util/log.hpp"
@@ -102,9 +101,12 @@ int main(int argc, char** argv) {
   // Structural baseline: new structures are simulated, the rest
   // predicted. Its conventional spend on those simulations is the
   // reference budget S.
-  HybridOptions structural;
-  structural.ml = bench::ml_options();
-  const HybridReport base = run_hybrid_flow(training, targets, structural);
+  active::ActiveOptions structural;
+  structural.base.ml = bench::ml_options();
+  structural.base.routing = RoutingPolicy::kStructural;
+  const active::ActiveReport structural_report =
+      active::run_active_flow(training, targets, structural);
+  const HybridReport& base = structural_report.hybrid;
   double reference_spend = 0.0;
   for (const HybridCellOutcome& o : base.outcomes) {
     if (!o.routed_to_ml) reference_spend += o.conventional_seconds;

@@ -9,8 +9,8 @@
 // cost model (conventional path) with measured ML wall time.
 #include <iostream>
 
+#include "active/learner.hpp"
 #include "bench_support.hpp"
-#include "flow/hybrid.hpp"
 #include "libgen/catalog.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -71,9 +71,10 @@ int main() {
   split.print(std::cout);
   std::cout << "paper: 29% identical / 21% equivalent / 50% new of 409 cells\n";
 
-  HybridOptions options;
-  options.ml = bench::ml_options();
-  const HybridReport report = run_hybrid_flow(train, targets, options);
+  active::ActiveOptions options;
+  options.base.ml = bench::ml_options();
+  options.base.routing = RoutingPolicy::kStructural;
+  const HybridReport report = active::run_active_flow(train, targets, options).hybrid;
 
   const double conv = report.conventional_only_seconds();
   const double hybrid = report.hybrid_seconds();

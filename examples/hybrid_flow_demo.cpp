@@ -6,7 +6,7 @@
 //   $ ./hybrid_flow_demo
 #include <iostream>
 
-#include "flow/hybrid.hpp"
+#include "active/learner.hpp"
 #include "util/strings.hpp"
 
 int main() {
@@ -34,9 +34,10 @@ int main() {
   const std::vector<CharacterizedCell> targets =
       characterize_library(build_library(technology_c40(), target_comp), copt);
 
-  HybridOptions options;
-  options.ml.forest.num_trees = 12;
-  const HybridReport report = run_hybrid_flow(train, targets, options);
+  active::ActiveOptions options;
+  options.base.ml.forest.num_trees = 12;
+  options.base.routing = RoutingPolicy::kStructural;
+  const HybridReport report = active::run_active_flow(train, targets, options).hybrid;
 
   std::cout << "\nper-cell routing:\n";
   for (const HybridCellOutcome& o : report.outcomes) {

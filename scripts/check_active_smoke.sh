@@ -9,7 +9,8 @@
 #       the same journal, store and stdout as an uninterrupted run,
 #   (d) the `caml active` verb is the same flow,
 #   (e) active reaches at least the structural baseline's mean ML
-#       accuracy on this corpus.
+#       accuracy on this corpus,
+#   (f) --resume without --checkpoint is a usage error (exit 2).
 # Pass a different build dir as $1.
 set -eu
 BUILD_DIR="${1:-build}"
@@ -50,6 +51,12 @@ echo "== structural baseline"
   2>/dev/null > "$WORK/structural.out"
 grep -q '^routing=structural' "$WORK/structural.out" \
   || { echo "FAIL: structural summary line missing"; exit 1; }
+
+echo "== --resume without --checkpoint is a usage error"
+status=0
+"$CAML" hybrid "$WORK/train.sp" "$WORK/train_cam" "$WORK/target.sp" "$WORK/target_cam" \
+  --resume >/dev/null 2>&1 || status=$?
+[ "$status" = 2 ] || { echo "FAIL: --resume without --checkpoint exited $status, want 2"; exit 1; }
 
 echo "== active: --jobs 1 vs --jobs 4 must be byte-identical"
 run_active 1 "$WORK/ck1" "$WORK/m1.caml" 2 > "$WORK/active1.out"

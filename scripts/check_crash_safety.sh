@@ -83,44 +83,57 @@ done
 [ "$completed_without_kill" = 1 ] \
   || { echo "FAIL: sweep never ran past the last persistence op (raise the bound)"; exit 1; }
 
-echo "== active-flow kill sweep: SIGKILL mid-acquisition, resume, byte-compare"
-# Three more cells as the target half; the active loop journals each
+echo "== generation-flow kill sweeps: SIGKILL mid-acquisition, resume, byte-compare"
+# Three more cells as the target half; the generation loop journals each
 # acquisition, so a killed run resumed with --resume must converge to
-# the same journal and model-store bytes as an uninterrupted one.
-awk '/^\.SUBCKT/{n++} n>=4 && n<=6' "$WORK/lib/28SOI.sp" > "$WORK/target.sp"
-grep -q '^\.SUBCKT' "$WORK/target.sp" || { echo "FAIL: no target cells extracted"; exit 1; }
-"$CAML" characterize "$WORK/target.sp" -o "$WORK/target_cam" --jobs 1 >/dev/null 2>&1
-active_run() { # active_run CHECKPOINT_DIR STORE [extra...]
-  ck="$1"; store="$2"; shift 2
-  "$CAML" hybrid "$WORK/small.sp" "$WORK/ref" "$WORK/target.sp" "$WORK/target_cam" \
-    --routing active --sim-budget 2 --budget-unit count --rounds 2 \
+# the same journal and model-store bytes as an uninterrupted one — under
+# the active policy and under the structural (Fig. 7) policy. The
+# structural targets (cells 6-8) hold a new structure (NAND2X1, which
+# the loop acquires) and its twin (NAND2X1_LP, then predicted).
+awk '/^\.SUBCKT/{n++} n>=4 && n<=6' "$WORK/lib/28SOI.sp" > "$WORK/target_active.sp"
+awk '/^\.SUBCKT/{n++} n>=6 && n<=8' "$WORK/lib/28SOI.sp" > "$WORK/target_structural.sp"
+for routing in active structural; do
+  grep -q '^\.SUBCKT' "$WORK/target_$routing.sp" \
+    || { echo "FAIL: no $routing target cells extracted"; exit 1; }
+  "$CAML" characterize "$WORK/target_$routing.sp" -o "$WORK/target_${routing}_cam" --jobs 1 \
+    >/dev/null 2>&1
+done
+flow_run() { # flow_run ROUTING CHECKPOINT_DIR STORE [extra...]
+  routing="$1"; ck="$2"; store="$3"; shift 3
+  "$CAML" hybrid "$WORK/small.sp" "$WORK/ref" \
+    "$WORK/target_$routing.sp" "$WORK/target_${routing}_cam" \
+    --routing "$routing" --sim-budget 2 --budget-unit count --rounds 2 \
     --trees-per-round 2 --jobs 1 --checkpoint "$ck" -o "$store" "$@"
 }
-active_run "$WORK/act_ref" "$WORK/act_ref.caml" >/dev/null 2>&1
-completed_without_kill=0
-for n in $(seq 1 24); do
-  rm -rf "$WORK/act_run"
-  rm -f "$WORK/act_run.caml"
-  status=0
-  CAML_FAULT="*:kill:$n" active_run "$WORK/act_run" "$WORK/act_run.caml" \
-    >/dev/null 2>&1 || status=$?
-  if [ "$status" = 0 ]; then
-    completed_without_kill=1
+for routing in active structural; do
+  echo "   routing $routing"
+  flow_run "$routing" "$WORK/act_ref" "$WORK/act_ref.caml" >/dev/null 2>&1
+  completed_without_kill=0
+  for n in $(seq 1 24); do
+    rm -rf "$WORK/act_run"
+    rm -f "$WORK/act_run.caml"
+    status=0
+    CAML_FAULT="*:kill:$n" flow_run "$routing" "$WORK/act_run" "$WORK/act_run.caml" \
+      >/dev/null 2>&1 || status=$?
+    if [ "$status" = 0 ]; then
+      completed_without_kill=1
+      cmp -s "$WORK/act_run.caml" "$WORK/act_ref.caml" \
+        || { echo "FAIL: un-killed $routing run at n=$n differs from reference"; exit 1; }
+      break
+    fi
+    [ "$status" = 137 ] \
+      || { echo "FAIL: $routing kill:$n exited with $status, expected SIGKILL (137)"; exit 1; }
+    flow_run "$routing" "$WORK/act_run" "$WORK/act_run.caml" --resume >/dev/null 2>&1 \
+      || { echo "FAIL: $routing resume after kill:$n failed"; exit 1; }
     cmp -s "$WORK/act_run.caml" "$WORK/act_ref.caml" \
-      || { echo "FAIL: un-killed active run at n=$n differs from reference"; exit 1; }
-    break
-  fi
-  [ "$status" = 137 ] \
-    || { echo "FAIL: active kill:$n exited with $status, expected SIGKILL (137)"; exit 1; }
-  active_run "$WORK/act_run" "$WORK/act_run.caml" --resume >/dev/null 2>&1 \
-    || { echo "FAIL: active resume after kill:$n failed"; exit 1; }
-  cmp -s "$WORK/act_run.caml" "$WORK/act_ref.caml" \
-    || { echo "FAIL: resumed active store differs from reference after kill:$n"; exit 1; }
-  cmp -s "$WORK/act_run/checkpoint.journal" "$WORK/act_ref/checkpoint.journal" \
-    || { echo "FAIL: resumed active journal differs from reference after kill:$n"; exit 1; }
+      || { echo "FAIL: resumed $routing store differs from reference after kill:$n"; exit 1; }
+    cmp -s "$WORK/act_run/checkpoint.journal" "$WORK/act_ref/checkpoint.journal" \
+      || { echo "FAIL: resumed $routing journal differs from reference after kill:$n"; exit 1; }
+  done
+  [ "$completed_without_kill" = 1 ] \
+    || { echo "FAIL: $routing sweep never ran past the last persistence op (raise the bound)"; exit 1; }
+  rm -rf "$WORK/act_ref" "$WORK/act_ref.caml"
 done
-[ "$completed_without_kill" = 1 ] \
-  || { echo "FAIL: active sweep never ran past the last persistence op (raise the bound)"; exit 1; }
 
 echo "== corrupt-store rejection"
 "$CAML" train "$WORK/small.sp" "$WORK/ref" -o "$WORK/groups.caml" --trees 8 >/dev/null 2>&1

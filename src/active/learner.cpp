@@ -159,11 +159,7 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
                              const ActiveOptions& options) {
   using Clock = std::chrono::steady_clock;
   const HybridOptions& base = options.base;
-  if (base.routing == RoutingPolicy::kStructural) {
-    throw Error(
-        "run_active_flow implements the active and hybrid policies; route 'structural' "
-        "through run_hybrid_flow");
-  }
+  const bool structural = base.routing == RoutingPolicy::kStructural;
   const bool use_prior = base.routing == RoutingPolicy::kHybrid;
 
   CAML_TRACE_SPAN_ITEMS("active_flow", targets.size());
@@ -184,6 +180,15 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
   std::map<GroupKey, bool> dirty;
   for (const auto& [key, cells] : pool) dirty[key] = true;
   std::map<GroupKey, double> training_seconds;
+
+  // Fig. 7's routing test: a cell can be predicted once the index knows
+  // its structure and its group has a training pool.
+  const auto routable = [&](std::size_t i) {
+    const CharacterizedCell& cell = targets[i];
+    const auto pit = pool.find(GroupKey{cell.num_inputs(), cell.num_transistors()});
+    return pit != pool.end() && !pit->second.empty() &&
+           index.classify(cell.canonical) != StructureMatch::kNew;
+  };
 
   std::vector<char> acquired(targets.size(), 0);
   // One prepared (unlabeled matrix + model skeleton) per target, built
@@ -276,6 +281,15 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
   };
 
   double spent = 0.0;
+  // Applies one live pick of `round`: classified against the index as
+  // the picks before it left it, acquired, charged and journaled.
+  const auto take = [&](std::size_t round, std::size_t i, double confidence) {
+    const StructureMatch match = index.classify(targets[i].canonical);
+    acquire(i, match);
+    spent += cost[i];
+    metrics.acquired.add();
+    if (journal) journal->record(acq_unit(round, i), encode_acq({match, confidence, cost[i]}));
+  };
   const std::size_t round_cap =
       options.acquisitions_per_round > 0
           ? options.acquisitions_per_round
@@ -285,7 +299,9 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
 
   // --- acquisition rounds -------------------------------------------------
   for (std::size_t round = 0; round < options.max_rounds; ++round) {
-    retrain();
+    // Only forest-scored policies need the forests mid-loop; under
+    // kStructural every group is fitted once, after the loop.
+    if (!structural) retrain();
 
     // Replay: a journaled round marker certifies the round's
     // acquisitions are all recorded — apply them without rescoring.
@@ -327,16 +343,20 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
     // Score every unacquired target. Scoring only reads shared state;
     // parallel_map keeps input order, each cell's rows classify in one
     // batch with tree-order accumulation — confidences are identical
-    // for any jobs value.
+    // for any jobs value. The structural score is 1 for a routable
+    // cell, 0 for one that needs simulation.
     std::vector<std::size_t> candidates;
     for (std::size_t i = 0; i < targets.size(); ++i) {
       if (!acquired[i]) candidates.push_back(i);
     }
     if (candidates.empty()) break;
-    parallel_for(candidates.size(), options.jobs,
-                 [&](std::size_t k) { prepared_for(candidates[k]); });
+    if (!structural) {
+      parallel_for(candidates.size(), options.jobs,
+                   [&](std::size_t k) { prepared_for(candidates[k]); });
+    }
     std::vector<CandidateScore> scores =
         parallel_map(candidates, options.jobs, [&](const std::size_t& i) {
+          if (structural) return CandidateScore{i, routable(i) ? 1.0 : 0.0};
           const CharacterizedCell& cell = targets[i];
           const GroupKey key{cell.num_inputs(), cell.num_transistors()};
           double confidence = 0.0;
@@ -373,48 +393,55 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
     }
     stats.mean_confidence = conf_sum / static_cast<double>(scores.size());
 
-    // Greedy selection under the remaining budget: walk candidates from
-    // least to most confident, take what fits (skipping unaffordable
-    // cells keeps cheaper uncertain ones reachable), stop at the round
-    // cap or the convergence margin.
-    sort_into_acquisition_order(scores);
-    std::map<std::size_t, double> picked;  // cell index -> confidence
-    double round_spent = 0.0;
-    for (const CandidateScore& s : scores) {
-      if (picked.size() >= round_cap) break;
-      if (s.confidence >= options.converge_margin) break;
-      if (options.sim_budget > 0 && spent + round_spent + cost[s.cell_index] > options.sim_budget) {
-        continue;
-      }
-      picked.emplace(s.cell_index, s.confidence);
-      round_spent += cost[s.cell_index];
-    }
-
-    stats.acquired = picked.size();
-    stats.spent_after = spent + round_spent;
     // Acquisitions apply (and journal) in ascending cell index — the
     // same order replay applies them — so pool growth order, and with
     // it every retrained forest, is identical across live, parallel and
     // resumed runs.
-    for (const auto& [i, confidence] : picked) {
-      const StructureMatch match = index.classify(targets[i].canonical);
-      acquire(i, match);
-      spent += cost[i];
-      metrics.acquired.add();
-      if (journal) journal->record(acq_unit(round, i), encode_acq({match, confidence, cost[i]}));
+    if (structural) {
+      // Fig. 7 routing: walk in target order, re-checking each cell
+      // against the index and pools as the picks before it left them,
+      // so a later twin of a simulated cell is predicted.
+      for (const CandidateScore& s : scores) {
+        if (stats.acquired >= round_cap) break;
+        if (routable(s.cell_index)) continue;
+        if (options.sim_budget > 0 && spent + cost[s.cell_index] > options.sim_budget) continue;
+        take(round, s.cell_index, s.confidence);
+        ++stats.acquired;
+      }
+      stats.spent_after = spent;
+    } else {
+      // Greedy selection under the remaining budget: walk candidates
+      // from least to most confident, take what fits (skipping
+      // unaffordable cells keeps cheaper uncertain ones reachable), stop
+      // at the round cap or the convergence margin.
+      sort_into_acquisition_order(scores);
+      std::map<std::size_t, double> picked;  // cell index -> confidence
+      double round_spent = 0.0;
+      for (const CandidateScore& s : scores) {
+        if (picked.size() >= round_cap) break;
+        if (s.confidence >= options.converge_margin) break;
+        if (options.sim_budget > 0 &&
+            spent + round_spent + cost[s.cell_index] > options.sim_budget) {
+          continue;
+        }
+        picked.emplace(s.cell_index, s.confidence);
+        round_spent += cost[s.cell_index];
+      }
+      stats.acquired = picked.size();
+      stats.spent_after = spent + round_spent;
+      for (const auto& [i, confidence] : picked) take(round, i, confidence);
     }
-    if (journal && !picked.empty()) journal->record(round_unit(round), encode_round(stats));
+    if (journal && stats.acquired > 0) journal->record(round_unit(round), encode_round(stats));
     report.rounds.push_back(stats);
     metrics.rounds.add();
-    metrics.round_acquired.record(picked.size());
+    metrics.round_acquired.record(stats.acquired);
     metrics.budget_spent_milli.set(static_cast<std::int64_t>(std::llround(spent * 1000.0)));
-    if (picked.empty()) break;  // converged, or nothing affordable remains
+    if (stats.acquired == 0) break;  // converged, or nothing affordable remains
   }
-  retrain();  // learn the final round's acquisitions
+  retrain();  // learn the final round's acquisitions (kStructural: every group)
 
   // --- final pass: predict everything still unacquired --------------------
   std::map<GroupKey, std::size_t> served;
-  std::vector<char> predicted_live(targets.size(), 0);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     if (acquired[i]) {
       report.hybrid.outcomes.push_back(acquired_outcomes.at(i));
@@ -428,9 +455,9 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
     outcome.conventional_seconds = base.cost.conventional_seconds(cell);
     const auto fit = forests.find(key);
     if (fit == forests.end()) {
-      // No model ever reached this group: simulate conventionally, like
-      // the structural baseline does for unmatched cells. Accounted in
-      // the report, not against the acquisition budget.
+      // No model ever reached this group, or its forest failed to train
+      // (logged by retrain): simulate conventionally. Accounted in the
+      // report, not against the acquisition budget.
       ++report.forced_conventional;
       metrics.forced.add();
     } else {
@@ -449,7 +476,6 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
         outcome.accuracy = ca_model_agreement(cell.model, predicted);
         outcome.routed_to_ml = true;
         ++served[key];
-        predicted_live[i] = 1;
         metrics.predicted.add();
       } catch (const Error& e) {
         log_warn() << "active: prediction failed for target " << i << " ("
@@ -466,10 +492,9 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
   }
   if (journal) journal->flush();
 
-  // Amortize each group's training time over the cells it predicted,
-  // mirroring the structural flow's accounting.
+  // Amortize each group's training time over the cells it predicted.
   for (HybridCellOutcome& o : report.hybrid.outcomes) {
-    if (!o.routed_to_ml || !predicted_live[o.cell_index]) continue;
+    if (!o.routed_to_ml) continue;
     const GroupKey key{targets[o.cell_index].num_inputs(),
                        targets[o.cell_index].num_transistors()};
     o.ml_seconds += training_seconds[key] / static_cast<double>(served[key]);

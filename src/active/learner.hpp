@@ -18,17 +18,19 @@ enum class BudgetUnit {
 const char* budget_unit_name(BudgetUnit unit);
 std::optional<BudgetUnit> parse_budget_unit(std::string_view name);
 
-/// Knobs of the budgeted acquisition loop. `base.routing` selects the
-/// score: kActive = pure forest uncertainty, kHybrid = uncertainty
-/// blended with the structural-similarity prior. The loop is
-/// deterministic by construction: fixed seeds + any `jobs` value yield
-/// the same acquisition order, journals and final forests byte for
-/// byte (see docs/ACTIVE_LEARNING.md).
+/// Knobs of the generation loop. `base.routing` selects the policy:
+/// kStructural = the paper's Fig. 7 routing (simulate cells whose
+/// structure or group is unknown, in target order), kActive = pure
+/// forest uncertainty, kHybrid = uncertainty blended with the
+/// structural-similarity prior. The loop is deterministic by
+/// construction: fixed seeds + any `jobs` value yield the same
+/// acquisition order, journals and final forests byte for byte (see
+/// docs/ACTIVE_LEARNING.md).
 struct ActiveOptions {
   ActiveOptions() { base.routing = RoutingPolicy::kActive; }
 
-  /// ml / cost / checkpoint / feedback knobs shared with the structural
-  /// flow. `base.checkpoint` journals acquisition rounds (units
+  /// Routing policy plus ml / cost / checkpoint knobs.
+  /// `base.checkpoint` journals acquisition rounds (units
   /// `acq:<round>:<cell>` and `round:<round>`) so a killed run resumes
   /// byte-identically.
   HybridOptions base;
@@ -46,13 +48,14 @@ struct ActiveOptions {
   /// on the enlarged pool). Ignored with full_refit.
   std::size_t trees_per_round = 4;
   /// Fallback switch: refit every dirty group's forest from scratch
-  /// each round instead of growing trees_per_round trees.
+  /// each round instead of growing trees_per_round trees. kStructural
+  /// never retrains mid-loop: each group gets one full fit at the end.
   bool full_refit = false;
   /// Weight of the structural prior under RoutingPolicy::kHybrid
   /// (confidence' = (1-w) * confidence + w * prior).
   double structural_prior_weight = 0.25;
-  /// Convergence: the loop stops once every remaining candidate's
-  /// blended confidence reaches this margin.
+  /// Convergence of the forest-scored policies: the loop stops once
+  /// every remaining candidate's blended confidence reaches this margin.
   double converge_margin = 0.995;
   /// Worker threads for candidate scoring (0 = hardware concurrency).
   /// Any value produces identical results.
@@ -75,10 +78,9 @@ struct RoundStats {
 };
 
 struct ActiveReport {
-  /// Per-cell outcomes in target order, same vocabulary as the
-  /// structural flow: acquired cells appear as conventional
-  /// (routed_to_ml = false, accuracy 1.0), the rest as ML predictions
-  /// scored against ground truth.
+  /// Per-cell outcomes in target order: acquired cells appear as
+  /// conventional (routed_to_ml = false, accuracy 1.0), the rest as ML
+  /// predictions by the final forests scored against ground truth.
   HybridReport hybrid;
   std::vector<RoundStats> rounds;
   RoutingPolicy policy = RoutingPolicy::kActive;
@@ -89,8 +91,8 @@ struct ActiveReport {
   /// the budget), 0 otherwise.
   std::vector<std::uint8_t> acquired_mask;
   /// Targets that ended with no usable group model (no budget ever
-  /// reached their group): simulated conventionally outside the budget,
-  /// exactly like the structural baseline simulates unmatched cells.
+  /// reached their group, or its forest failed to train): simulated
+  /// conventionally outside the budget.
   std::size_t forced_conventional = 0;
   /// Final per-group forests — the byte-identity witness of the
   /// determinism contract (save_file yields the same bytes for any
@@ -98,12 +100,12 @@ struct ActiveReport {
   GroupModelStore models;
 };
 
-/// Runs the budgeted active-learning generation flow (ROADMAP item 4):
-/// score every unacquired target by forest uncertainty, simulate the
-/// least certain under the budget, fold them into the training pool,
-/// retrain incrementally, repeat until the budget is spent or margins
-/// converge — then predict everything still unacquired with the final
-/// forests. `options.base.routing` must be kActive or kHybrid.
+/// Runs the generation flow: score every unacquired target under the
+/// routing policy, simulate the cells it selects under the budget, fold
+/// them into the training pool and the structure index, retrain
+/// incrementally (forest-scored policies only), repeat until the budget
+/// is spent or nothing more is selected — then fit what is left and
+/// predict everything still unacquired with the final forests.
 ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
                              const std::vector<CharacterizedCell>& targets,
                              const ActiveOptions& options = {});

@@ -8,7 +8,7 @@
 namespace caml {
 
 /// Crash-safe progress options shared by the long-running flows
-/// (characterize_library, run_hybrid_flow, `caml characterize`).
+/// (characterize_library, active::run_active_flow, `caml characterize`).
 struct CheckpointOptions {
   /// Directory holding the journal and the per-unit artifacts; empty
   /// disables checkpointing entirely.

@@ -9,12 +9,13 @@
 
 namespace caml {
 
-/// How the generation flow decides which cells get real simulation.
+/// How the generation flow (active::run_active_flow in src/active)
+/// decides which cells get real simulation.
 ///   kStructural — the paper's Fig. 7 heuristic: simulate structurally
-///                 new cells, predict the rest (run_hybrid_flow).
+///                 new cells and cells of untrained groups, predict the
+///                 rest.
 ///   kActive     — budgeted uncertainty sampling: simulate the cells the
-///                 forest is least certain about, retrain, repeat
-///                 (active::run_active_flow in src/active).
+///                 forest is least certain about, retrain, repeat.
 ///   kHybrid     — kActive with a structural-similarity prior blended
 ///                 into the acquisition score.
 enum class RoutingPolicy { kStructural, kActive, kHybrid };
@@ -38,14 +39,14 @@ struct CostModel {
   double conventional_seconds(const CharacterizedCell& cell) const;
 };
 
-/// Per-cell outcome of the hybrid flow (paper Fig. 7).
+/// Per-cell outcome of the generation flow (paper Fig. 7).
 struct HybridCellOutcome {
   std::size_t cell_index = 0;
   StructureMatch match = StructureMatch::kNew;
   bool routed_to_ml = false;
-  /// The ML route was selected but failed (classifier training or
-  /// inference threw), so the cell fell back to conventional generation.
-  /// Degradation is counted and logged, never fatal.
+  /// The ML route was selected but inference threw, so the cell fell
+  /// back to conventional generation. Degradation is counted and logged,
+  /// never fatal.
   bool degraded = false;
   /// Prediction accuracy vs ground truth (1.0 for simulated cells,
   /// whose model is exact by construction).
@@ -78,33 +79,16 @@ struct HybridReport {
   double ml_accuracy_above(double threshold) const;
 };
 
+/// Options of the generation flow shared by every routing policy
+/// (active::ActiveOptions::base).
 struct HybridOptions {
   MlOptions ml;
   CostModel cost;
-  /// Routing policy. run_hybrid_flow implements kStructural only and
-  /// throws on the others — callers (CLI, bench) dispatch kActive /
-  /// kHybrid to active::run_active_flow, which layers above this
-  /// library.
   RoutingPolicy routing = RoutingPolicy::kStructural;
-  /// Fig. 7's feedback loop: cells routed to simulation join the
-  /// training pool and the structure index for subsequent cells.
-  bool feedback = true;
-  /// Crash-safe progress: each target's outcome is journaled as it
-  /// completes; with checkpoint.resume, recorded outcomes are replayed
-  /// (routing decisions and accuracies reproduced exactly, feedback
-  /// state reconstructed) and only the remaining targets run. Timing
-  /// fields of replayed outcomes keep their recorded values, which
-  /// exclude the final training-amortization share — wall-clock metrics
-  /// are inherently non-reproducible across processes anyway.
+  /// Crash-safe progress: acquisitions are journaled as they happen;
+  /// with checkpoint.resume, journaled rounds are replayed and the rest
+  /// re-derived (see docs/DURABILITY.md).
   CheckpointOptions checkpoint;
 };
-
-/// Runs the hybrid generation flow for `targets` given an existing
-/// training set: structural analysis routes each cell to ML inference
-/// or to conventional generation (already available in the
-/// CharacterizedCell ground truth — only its *cost* is accounted).
-HybridReport run_hybrid_flow(const std::vector<CharacterizedCell>& training,
-                             const std::vector<CharacterizedCell>& targets,
-                             const HybridOptions& options = {});
 
 }  // namespace caml

@@ -141,13 +141,12 @@ void GroupModelStore::save_file(const std::string& path) const {
 }
 
 GroupModelStore GroupModelStore::load_file(const std::string& path) {
-  std::istringstream payload(io::read_checksummed_or_raw(path, "models"));
+  std::istringstream payload(io::read_checksummed_file(path, "models"));
   try {
     return load(payload);
   } catch (const ParseError& e) {
     // The container CRC already vouched for the bytes, so a parse
-    // failure here means a writer bug or a legacy unframed file — either
-    // way, name the file.
+    // failure here means a writer bug — name the file.
     throw ParseError::in_file(path, e);
   }
 }

@@ -94,10 +94,9 @@ class GroupModelStore final : public ModelStore {
   /// CAMLF1 container (kind "models") and published atomically — a
   /// crash mid-save leaves the previous file intact, and a truncated or
   /// bit-flipped file fails load_file with a ParseError naming the file
-  /// and offset instead of loading garbage. load_file also accepts a
-  /// legacy unframed store for backward compatibility. The save streams
-  /// through io::ChecksummedFileWriter, so peak memory stays O(chunk)
-  /// instead of 2-3x the serialized size.
+  /// and offset instead of loading garbage; an unframed file is a
+  /// ParseError too. The save streams through io::ChecksummedFileWriter,
+  /// so peak memory stays O(chunk) instead of 2-3x the serialized size.
   void save_file(const std::string& path) const;
   static GroupModelStore load_file(const std::string& path);
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "util/error.hpp"
-#include "util/io.hpp"
 #include "util/strings.hpp"
 
 namespace caml {
@@ -112,22 +110,6 @@ LoadedForest read_forest(std::istream& in) {
     throw ParseError("missing ENDFOREST", line_no);
   }
   return out;
-}
-
-void write_forest_file(const std::string& path, const RandomForest& forest,
-                       std::size_t num_features) {
-  std::ostringstream payload;
-  write_forest(payload, forest, num_features);
-  io::write_checksummed_file(path, "forest", payload.str(), "forest");
-}
-
-LoadedForest read_forest_file(const std::string& path) {
-  std::istringstream payload(io::read_checksummed_or_raw(path, "forest"));
-  try {
-    return read_forest(payload);
-  } catch (const ParseError& e) {
-    throw ParseError::in_file(path, e);
-  }
 }
 
 }  // namespace caml

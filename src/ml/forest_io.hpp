@@ -28,13 +28,4 @@ struct LoadedForest {
 };
 LoadedForest read_forest(std::istream& in);
 
-/// Durable single-forest file: the write_forest text wrapped in a
-/// checksummed CAMLF1 container (kind "forest") and published
-/// atomically. read_forest_file rejects truncated or bit-flipped files
-/// with a ParseError naming the file and offset; a legacy unframed
-/// forest file is still accepted.
-void write_forest_file(const std::string& path, const RandomForest& forest,
-                       std::size_t num_features);
-LoadedForest read_forest_file(const std::string& path);
-
 }  // namespace caml

@@ -144,9 +144,9 @@ class MappedModelStore final : public ModelStore {
 
 /// Opens `path` as whichever store format it holds: the mmap-backed
 /// binary store when the container kind is "models.bin" (verified kFull),
-/// otherwise the text loader (framed or legacy unframed). This is the
-/// single entry point `caml serve` / `caml predict` load through, so a
-/// daemon prefers the binary store automatically.
+/// otherwise the framed text loader (GroupModelStore::load_file). This
+/// is the single entry point `caml serve` / `caml predict` load through,
+/// so a daemon prefers the binary store automatically.
 std::shared_ptr<const ModelStore> open_model_store(const std::string& path);
 
 }  // namespace caml::store

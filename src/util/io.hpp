@@ -117,7 +117,7 @@ class MappedFile {
 ///   CAMLF1 <kind> len=<payload-bytes> crc32=<8-hex-digits>\n
 ///   <payload>
 ///
-/// `kind` tags the payload type ("models", "camodel", "forest",
+/// `kind` tags the payload type ("models", "camodel",
 /// "journal") so loading the wrong artifact into a parser fails loud,
 /// and the CRC turns silent truncation or bit rot into a ParseError
 /// naming the file and byte offset instead of garbage models.
@@ -127,7 +127,7 @@ inline constexpr std::string_view kContainerMagic = "CAMLF1";
 std::string frame_checksummed(std::string_view kind, std::string_view payload);
 
 /// True when `bytes` starts with the container magic — used by loaders
-/// that also accept legacy unframed files.
+/// that also accept raw files.
 bool is_checksummed(std::string_view bytes);
 
 /// Validates the container (magic, kind, declared length, CRC) and
@@ -193,8 +193,9 @@ class ChecksummedFileWriter {
 std::string read_checksummed_file(const std::string& path, std::string_view kind);
 
 /// Reads a file that is either a validated CAMLF1 container of `kind` or
-/// a legacy unframed artifact (returned verbatim, unvalidated) — the
-/// backward-compatible load path for stores written before framing.
+/// an unframed artifact (returned verbatim, unvalidated) — the load path
+/// for .camodel files, which `caml predict` and `caml query` write as
+/// raw interchange text.
 std::string read_checksummed_or_raw(const std::string& path, std::string_view kind);
 
 }  // namespace caml::io

@@ -16,7 +16,6 @@
 #include "libgen/technology.hpp"
 #include "ml/forest.hpp"
 #include "test_support.hpp"
-#include "util/error.hpp"
 
 namespace caml {
 namespace {
@@ -303,86 +302,122 @@ TEST(ActiveFlow, HybridPolicyBlendsStructuralPrior) {
   EXPECT_EQ(report.acquired_mask[n - 1], 1);
 }
 
-TEST(ActiveFlow, PolicyMismatchesThrow) {
-  active::ActiveOptions options = small_options();
-  options.base.routing = RoutingPolicy::kStructural;
-  EXPECT_THROW(active::run_active_flow(corpus().training, corpus().targets, options), Error);
-
-  HybridOptions hybrid;
-  hybrid.routing = RoutingPolicy::kActive;
-  EXPECT_THROW(run_hybrid_flow(corpus().training, corpus().targets, hybrid), Error);
+TEST(ActiveFlow, StructuralPolicyReproducesFig7Routing) {
+  // The paper's Fig. 7 routing on this corpus: the six shared-function
+  // cells are structurally known and predicted; XOR2X1 is new and
+  // XOR2X2M (equivalent to it once it is simulated) has no group pool,
+  // so both are simulated. The expected values are the routing a
+  // one-pass sequential Fig. 7 walk produces on this corpus.
+  const std::vector<std::uint8_t> expected_mask = {0, 0, 0, 0, 0, 0, 1, 1};
+  const std::vector<StructureMatch> expected_match = {
+      StructureMatch::kIdentical, StructureMatch::kIdentical, StructureMatch::kIdentical,
+      StructureMatch::kIdentical, StructureMatch::kIdentical, StructureMatch::kIdentical,
+      StructureMatch::kNew,       StructureMatch::kEquivalent};
+  for (const std::size_t per_round : {std::size_t{0}, std::size_t{1}}) {
+    active::ActiveOptions options;
+    options.base.routing = RoutingPolicy::kStructural;
+    options.base.ml.forest.num_trees = 6;
+    options.acquisitions_per_round = per_round;  // chunking must not change routing
+    const active::ActiveReport report =
+        active::run_active_flow(corpus().training, corpus().targets, options);
+    EXPECT_EQ(report.policy, RoutingPolicy::kStructural);
+    EXPECT_EQ(report.acquired_mask, expected_mask) << "per_round=" << per_round;
+    EXPECT_EQ(report.forced_conventional, 0u);
+    ASSERT_EQ(report.hybrid.outcomes.size(), expected_match.size());
+    double simulated = 0.0;
+    for (const HybridCellOutcome& o : report.hybrid.outcomes) {
+      EXPECT_EQ(o.match, expected_match[o.cell_index]) << o.cell_index;
+      EXPECT_EQ(o.routed_to_ml, expected_mask[o.cell_index] == 0) << o.cell_index;
+      if (!o.routed_to_ml) simulated += o.conventional_seconds;
+    }
+    EXPECT_DOUBLE_EQ(report.spent, simulated);
+    // Every group trained on its final pool: six training groups plus
+    // the two XOR2 groups the acquisitions created.
+    EXPECT_EQ(report.models.num_groups(), 8u);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Determinism contract
 
 TEST(ActiveFlow, JournalsAndModelsIdenticalAcrossJobCounts) {
-  const std::string dir1 = temp_dir("jobs1");
-  const std::string dir4 = temp_dir("jobs4");
-  const auto run = [&](const std::string& dir, std::size_t jobs) {
-    active::ActiveOptions options = small_options();
-    options.jobs = jobs;
-    options.base.ml.forest.jobs = jobs;
-    options.base.checkpoint.dir = dir;
-    return active::run_active_flow(corpus().training, corpus().targets, options);
-  };
-  const active::ActiveReport serial = run(dir1, 1);
-  const active::ActiveReport threaded = run(dir4, 4);
+  for (const RoutingPolicy policy : {RoutingPolicy::kActive, RoutingPolicy::kStructural}) {
+    SCOPED_TRACE(routing_policy_name(policy));
+    const std::string dir1 = temp_dir("jobs1");
+    const std::string dir4 = temp_dir("jobs4");
+    const auto run = [&](const std::string& dir, std::size_t jobs) {
+      active::ActiveOptions options = small_options();
+      options.base.routing = policy;
+      options.jobs = jobs;
+      options.base.ml.forest.jobs = jobs;
+      options.base.checkpoint.dir = dir;
+      return active::run_active_flow(corpus().training, corpus().targets, options);
+    };
+    const active::ActiveReport serial = run(dir1, 1);
+    const active::ActiveReport threaded = run(dir4, 4);
 
-  EXPECT_EQ(slurp(dir1 + "/" + CheckpointJournal::kFileName),
-            slurp(dir4 + "/" + CheckpointJournal::kFileName))
-      << "acquisition journals must be byte-identical across job counts";
+    EXPECT_EQ(slurp(dir1 + "/" + CheckpointJournal::kFileName),
+              slurp(dir4 + "/" + CheckpointJournal::kFileName))
+        << "acquisition journals must be byte-identical across job counts";
 
-  const std::string store1 = dir1 + "/models.caml";
-  const std::string store4 = dir4 + "/models.caml";
-  serial.models.save_file(store1);
-  threaded.models.save_file(store4);
-  EXPECT_EQ(slurp(store1), slurp(store4))
-      << "final model stores must be byte-identical across job counts";
+    const std::string store1 = dir1 + "/models.caml";
+    const std::string store4 = dir4 + "/models.caml";
+    serial.models.save_file(store1);
+    threaded.models.save_file(store4);
+    EXPECT_EQ(slurp(store1), slurp(store4))
+        << "final model stores must be byte-identical across job counts";
 
-  ASSERT_EQ(serial.hybrid.outcomes.size(), threaded.hybrid.outcomes.size());
-  for (std::size_t i = 0; i < serial.hybrid.outcomes.size(); ++i) {
-    EXPECT_EQ(serial.hybrid.outcomes[i].routed_to_ml, threaded.hybrid.outcomes[i].routed_to_ml);
-    EXPECT_DOUBLE_EQ(serial.hybrid.outcomes[i].accuracy, threaded.hybrid.outcomes[i].accuracy);
+    ASSERT_EQ(serial.hybrid.outcomes.size(), threaded.hybrid.outcomes.size());
+    for (std::size_t i = 0; i < serial.hybrid.outcomes.size(); ++i) {
+      EXPECT_EQ(serial.hybrid.outcomes[i].routed_to_ml, threaded.hybrid.outcomes[i].routed_to_ml);
+      EXPECT_DOUBLE_EQ(serial.hybrid.outcomes[i].accuracy, threaded.hybrid.outcomes[i].accuracy);
+    }
+    EXPECT_EQ(serial.acquired_mask, threaded.acquired_mask);
   }
-  EXPECT_EQ(serial.acquired_mask, threaded.acquired_mask);
 }
 
 TEST(ActiveFlow, ResumedRunEqualsUninterrupted) {
-  const std::string full_dir = temp_dir("full");
-  const std::string cut_dir = temp_dir("cut");
+  for (const RoutingPolicy policy : {RoutingPolicy::kActive, RoutingPolicy::kStructural}) {
+    SCOPED_TRACE(routing_policy_name(policy));
+    const std::string full_dir = temp_dir("full");
+    const std::string cut_dir = temp_dir("cut");
 
-  const auto run = [&](const std::string& dir, std::size_t rounds, bool resume) {
-    active::ActiveOptions options = small_options();
-    options.max_rounds = rounds;
-    options.base.checkpoint.dir = dir;
-    options.base.checkpoint.every = 1;  // flush per acquisition
-    options.base.checkpoint.resume = resume;
-    return active::run_active_flow(corpus().training, corpus().targets, options);
-  };
+    const auto run = [&](const std::string& dir, std::size_t rounds, bool resume) {
+      active::ActiveOptions options = small_options();
+      options.base.routing = policy;
+      // One acquisition per round, so the cut lands between the
+      // structural policy's two acquisitions too.
+      if (policy == RoutingPolicy::kStructural) options.acquisitions_per_round = 1;
+      options.max_rounds = rounds;
+      options.base.checkpoint.dir = dir;
+      options.base.checkpoint.every = 1;  // flush per acquisition
+      options.base.checkpoint.resume = resume;
+      return active::run_active_flow(corpus().training, corpus().targets, options);
+    };
 
-  // Uninterrupted reference.
-  const active::ActiveReport full = run(full_dir, 3, false);
-  // "Killed" after one round (simulated by capping rounds), then
-  // resumed to completion from the journal.
-  run(cut_dir, 1, false);
-  const active::ActiveReport resumed = run(cut_dir, 3, true);
+    // Uninterrupted reference.
+    const active::ActiveReport full = run(full_dir, 3, false);
+    // "Killed" after one round (simulated by capping rounds), then
+    // resumed to completion from the journal.
+    run(cut_dir, 1, false);
+    const active::ActiveReport resumed = run(cut_dir, 3, true);
 
-  EXPECT_EQ(slurp(full_dir + "/" + CheckpointJournal::kFileName),
-            slurp(cut_dir + "/" + CheckpointJournal::kFileName))
-      << "resumed journal must equal the uninterrupted run's";
+    EXPECT_EQ(slurp(full_dir + "/" + CheckpointJournal::kFileName),
+              slurp(cut_dir + "/" + CheckpointJournal::kFileName))
+        << "resumed journal must equal the uninterrupted run's";
 
-  const std::string full_store = full_dir + "/models.caml";
-  const std::string cut_store = cut_dir + "/models.caml";
-  full.models.save_file(full_store);
-  resumed.models.save_file(cut_store);
-  EXPECT_EQ(slurp(full_store), slurp(cut_store))
-      << "resumed model store must equal the uninterrupted run's";
+    const std::string full_store = full_dir + "/models.caml";
+    const std::string cut_store = cut_dir + "/models.caml";
+    full.models.save_file(full_store);
+    resumed.models.save_file(cut_store);
+    EXPECT_EQ(slurp(full_store), slurp(cut_store))
+        << "resumed model store must equal the uninterrupted run's";
 
-  ASSERT_FALSE(resumed.rounds.empty());
-  EXPECT_TRUE(resumed.rounds.front().replayed);
-  EXPECT_EQ(resumed.acquired_mask, full.acquired_mask);
-  EXPECT_DOUBLE_EQ(resumed.spent, full.spent);
+    ASSERT_FALSE(resumed.rounds.empty());
+    EXPECT_TRUE(resumed.rounds.front().replayed);
+    EXPECT_EQ(resumed.acquired_mask, full.acquired_mask);
+    EXPECT_DOUBLE_EQ(resumed.spent, full.spent);
+  }
 }
 
 TEST(ActiveFlow, FullRefitFallbackStaysDeterministic) {

@@ -1,7 +1,8 @@
 // Crash-safety tests: checkpoint journal semantics, durable artifact
-// round-trips with corruption rejection, characterize/hybrid resume
-// determinism, and (under -DCAML_FAULT_INJECTION=ON) a real SIGKILL
-// mid-run followed by a byte-compare against an uninterrupted run.
+// round-trips with corruption rejection, characterize resume
+// determinism, graceful degradation of the generation flow, and (under
+// -DCAML_FAULT_INJECTION=ON) a real SIGKILL mid-run followed by a
+// byte-compare against an uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -12,13 +13,11 @@
 #include <map>
 #include <string>
 
+#include "active/learner.hpp"
 #include "camodel/model_io.hpp"
 #include "flow/characterize.hpp"
 #include "flow/checkpoint.hpp"
-#include "flow/hybrid.hpp"
 #include "flow/model_store.hpp"
-#include "ml/forest.hpp"
-#include "ml/forest_io.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -163,11 +162,11 @@ TEST(DurableArtifacts, ModelStoreFileRoundTripAndCorruptionRejected) {
   const GroupModelStore loaded = GroupModelStore::load_file(path);
   EXPECT_EQ(loaded.num_groups(), store.num_groups());
 
-  // Legacy (unframed) stores still load through the sniffing reader.
-  std::ostringstream legacy;
-  store.save(legacy);
-  io::write_file_atomic(dir + "/legacy.caml", legacy.str());
-  EXPECT_EQ(GroupModelStore::load_file(dir + "/legacy.caml").num_groups(), store.num_groups());
+  // An unframed store is rejected: nothing writes one.
+  std::ostringstream unframed;
+  store.save(unframed);
+  io::write_file_atomic(dir + "/unframed.caml", unframed.str());
+  EXPECT_THROW(GroupModelStore::load_file(dir + "/unframed.caml"), ParseError);
 
   // A flipped payload byte fails loud with the file named in the error.
   flip_tail_byte(path);
@@ -178,35 +177,11 @@ TEST(DurableArtifacts, ModelStoreFileRoundTripAndCorruptionRejected) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
   }
   // Truncation (the classic partial-copy failure) is rejected too.
-  const std::string bytes = slurp(dir + "/legacy.caml");
-  io::write_checksummed_file(path, "models", bytes);
+  io::write_checksummed_file(path, "models", unframed.str());
   std::string framed = slurp(path);
   framed.resize(framed.size() / 2);
   io::write_file_atomic(path, framed);
   EXPECT_THROW(GroupModelStore::load_file(path), ParseError);
-}
-
-TEST(DurableArtifacts, ForestFileRoundTripAndCorruptionRejected) {
-  // A forest trained on a tiny synthetic dataset round-trips through the
-  // framed file and refuses a flipped byte.
-  Dataset data(2);
-  for (int i = 0; i < 8; ++i) {
-    const std::int8_t row[2] = {static_cast<std::int8_t>(i & 1),
-                                static_cast<std::int8_t>((i >> 1) & 1)};
-    data.add_row(row, static_cast<std::uint8_t>(i & 1));
-  }
-  ForestParams params;
-  params.num_trees = 3;
-  RandomForest forest(params);
-  forest.fit(data);
-
-  const std::string path = temp_dir("forest") + "/group.forest";
-  write_forest_file(path, forest, data.num_features());
-  const LoadedForest back = read_forest_file(path);
-  EXPECT_EQ(back.num_features, data.num_features());
-
-  flip_tail_byte(path);
-  EXPECT_THROW(read_forest_file(path), ParseError);
 }
 
 TEST(DurableArtifacts, CaModelFileRoundTripFramedAndLegacy) {
@@ -297,86 +272,42 @@ TEST(CharacterizeCheckpoint, CorruptArtifactIsRecharacterizedOnResume) {
 }
 
 // ---------------------------------------------------------------------------
-// Hybrid flow: graceful degradation + journal replay
-
-/// One NAND2 training cell and one NAND2 twin target (same structure,
-/// different seed) — the minimal corpus where the target routes to ML.
-struct TinyHybridCorpus {
-  std::vector<CharacterizedCell> training;
-  std::vector<CharacterizedCell> targets;
-};
-
-TinyHybridCorpus tiny_hybrid_corpus() {
-  const Technology tech = technology_28soi();
-  TinyHybridCorpus corpus;
-  corpus.training.push_back(
-      characterize(build_function("NAND2", tech, {1, StructureVariant::kWide}, 21), tech));
-  corpus.targets.push_back(
-      characterize(build_function("NAND2", tech, {1, StructureVariant::kWide}, 22), tech));
-  return corpus;
-}
+// Generation flow: graceful degradation
 
 TEST(HybridDegradation, MlFailureFallsBackToConventional) {
-  const TinyHybridCorpus corpus = tiny_hybrid_corpus();
+  // One NAND2 training cell and one NAND2 twin target (same structure,
+  // different seed): the minimal corpus where the target routes to ML.
+  const Technology tech = technology_28soi();
+  std::vector<CharacterizedCell> training;
+  training.push_back(
+      characterize(build_function("NAND2", tech, {1, StructureVariant::kWide}, 21), tech));
+  std::vector<CharacterizedCell> targets;
+  targets.push_back(
+      characterize(build_function("NAND2", tech, {1, StructureVariant::kWide}, 22), tech));
 
-  HybridOptions options;
-  options.ml.forest.num_trees = 4;
-  // Sanity: with a healthy classifier the target routes to ML.
-  const HybridReport healthy = run_hybrid_flow(corpus.training, corpus.targets, options);
-  ASSERT_EQ(healthy.count_routed_to_ml(), 1u);
-  ASSERT_EQ(healthy.count_degraded(), 0u);
+  active::ActiveOptions options;
+  options.base.routing = RoutingPolicy::kStructural;
+  options.base.ml.forest.num_trees = 4;
+  options.base.ml.matrix.include_free_rows = false;  // defect rows only
+  // Sanity: with a healthy training cell the target routes to ML.
+  const active::ActiveReport healthy = active::run_active_flow(training, targets, options);
+  ASSERT_EQ(healthy.hybrid.count_routed_to_ml(), 1u);
+  ASSERT_EQ(healthy.forced_conventional, 0u);
 
-  // A classifier factory that always fails stands in for a missing or
-  // corrupt group model. The run must complete, count the degradation,
-  // and charge the cell its conventional cost.
-  options.ml.make_classifier = []() -> std::unique_ptr<Classifier> {
-    throw Error("injected classifier failure");
-  };
-  const HybridReport degraded = run_hybrid_flow(corpus.training, corpus.targets, options);
-  ASSERT_EQ(degraded.outcomes.size(), 1u);
-  EXPECT_EQ(degraded.count_routed_to_ml(), 0u);
-  EXPECT_EQ(degraded.count_degraded(), 1u);
-  EXPECT_FALSE(degraded.outcomes[0].routed_to_ml);
-  EXPECT_TRUE(degraded.outcomes[0].degraded);
-  EXPECT_DOUBLE_EQ(degraded.outcomes[0].accuracy, 1.0);
-  EXPECT_DOUBLE_EQ(degraded.hybrid_seconds(), degraded.conventional_only_seconds());
-}
-
-TEST(HybridCheckpoint, ResumeReplaysOutcomesWithoutRetraining) {
-  const TinyHybridCorpus corpus = tiny_hybrid_corpus();
-  const std::string dir = temp_dir("hybrid");
-
-  int trainings = 0;
-  HybridOptions options;
-  options.ml.forest.num_trees = 4;
-  options.ml.make_classifier = [&trainings]() -> std::unique_ptr<Classifier> {
-    ++trainings;
-    ForestParams params;
-    params.num_trees = 4;
-    return std::make_unique<RandomForest>(params);
-  };
-  options.checkpoint.dir = dir;
-  options.checkpoint.every = 1;
-
-  const HybridReport first = run_hybrid_flow(corpus.training, corpus.targets, options);
-  ASSERT_EQ(first.outcomes.size(), 1u);
-  EXPECT_EQ(trainings, 1);
-
-  // Resume over the same targets: everything replays from the journal —
-  // zero classifier trainings, decisions and accuracies reproduced.
-  trainings = 0;
-  options.checkpoint.resume = true;
-  const HybridReport replayed = run_hybrid_flow(corpus.training, corpus.targets, options);
-  EXPECT_EQ(trainings, 0);
-  ASSERT_EQ(replayed.outcomes.size(), first.outcomes.size());
-  for (std::size_t i = 0; i < replayed.outcomes.size(); ++i) {
-    EXPECT_EQ(replayed.outcomes[i].match, first.outcomes[i].match);
-    EXPECT_EQ(replayed.outcomes[i].routed_to_ml, first.outcomes[i].routed_to_ml);
-    EXPECT_EQ(replayed.outcomes[i].degraded, first.outcomes[i].degraded);
-    EXPECT_DOUBLE_EQ(replayed.outcomes[i].accuracy, first.outcomes[i].accuracy);
-    EXPECT_DOUBLE_EQ(replayed.outcomes[i].conventional_seconds,
-                     first.outcomes[i].conventional_seconds);
-  }
+  // A training model without defects gives the group zero training
+  // rows, so its forest cannot be fitted — a stand-in for a missing or
+  // broken group model. The run must complete, count the fallback, and
+  // charge the cell its conventional cost.
+  training[0].model.defects.clear();
+  const active::ActiveReport degraded = active::run_active_flow(training, targets, options);
+  ASSERT_EQ(degraded.hybrid.outcomes.size(), 1u);
+  EXPECT_EQ(degraded.acquired, 0u);
+  EXPECT_EQ(degraded.forced_conventional, 1u);
+  EXPECT_EQ(degraded.hybrid.count_routed_to_ml(), 0u);
+  EXPECT_EQ(degraded.models.num_groups(), 0u);
+  EXPECT_FALSE(degraded.hybrid.outcomes[0].routed_to_ml);
+  EXPECT_DOUBLE_EQ(degraded.hybrid.outcomes[0].accuracy, 1.0);
+  EXPECT_DOUBLE_EQ(degraded.hybrid.hybrid_seconds(), degraded.hybrid.conventional_only_seconds());
 }
 
 // ---------------------------------------------------------------------------

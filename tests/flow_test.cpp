@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "active/learner.hpp"
 #include "flow/hybrid.hpp"
 #include "flow/model_store.hpp"
 #include "util/error.hpp"
@@ -186,8 +187,8 @@ TEST(CostModel, ScalesWithSizeAndSimulationCount) {
 }
 
 TEST(Hybrid, FeedbackRoutesLaterTwinsToMl) {
-  // Two identical new-structure cells: without feedback both simulate;
-  // with feedback the second one rides on the first one's model.
+  // Two identical new-structure cells: the first is simulated, and its
+  // feedback into the index and pool lets the second ride on its model.
   const Technology soi = technology_28soi();
   const Technology c28 = technology_c28();
   std::vector<CharacterizedCell> training;
@@ -198,18 +199,13 @@ TEST(Hybrid, FeedbackRoutesLaterTwinsToMl) {
   targets.push_back(characterize(build_function("XOR2", c28, {1, StructureVariant::kWide}, 2),
                                  c28));
 
-  HybridOptions with_feedback;
-  with_feedback.ml.forest.num_trees = 5;
-  const HybridReport fb = run_hybrid_flow(training, targets, with_feedback);
+  active::ActiveOptions options;
+  options.base.routing = RoutingPolicy::kStructural;
+  options.base.ml.forest.num_trees = 5;
+  const HybridReport fb = active::run_active_flow(training, targets, options).hybrid;
   EXPECT_FALSE(fb.outcomes[0].routed_to_ml);
   EXPECT_TRUE(fb.outcomes[1].routed_to_ml);
   EXPECT_GT(fb.outcomes[1].accuracy, 0.999);
-
-  HybridOptions no_feedback = with_feedback;
-  no_feedback.feedback = false;
-  const HybridReport nofb = run_hybrid_flow(training, targets, no_feedback);
-  EXPECT_FALSE(nofb.outcomes[0].routed_to_ml);
-  EXPECT_FALSE(nofb.outcomes[1].routed_to_ml);
 }
 
 TEST(Hybrid, ReportArithmetic) {
@@ -252,14 +248,14 @@ TEST(Hybrid, ReportGuardsAgainstZeroMlRoutes) {
   EXPECT_DOUBLE_EQ(all_simulated.ml_accuracy_above(0.97), 0.0);
   EXPECT_DOUBLE_EQ(all_simulated.overall_reduction(), 0.0);
 
-  // End to end: an empty-route run (no training data, feedback off
-  // keeps later twins unmatched too) exercises the same guards.
+  // End to end: an empty-route run (no training data, a single target)
+  // exercises the same guards.
   const Technology c28 = technology_c28();
   std::vector<CharacterizedCell> targets;
   targets.push_back(characterize(build_function("XOR2", c28), c28));
-  HybridOptions options;
-  options.feedback = false;
-  const HybridReport report = run_hybrid_flow({}, targets, options);
+  active::ActiveOptions options;
+  options.base.routing = RoutingPolicy::kStructural;
+  const HybridReport report = active::run_active_flow({}, targets, options).hybrid;
   EXPECT_EQ(report.count_routed_to_ml(), 0u);
   EXPECT_DOUBLE_EQ(report.ml_portion_reduction(), 0.0);
   EXPECT_DOUBLE_EQ(report.ml_accuracy_above(0.97), 0.0);

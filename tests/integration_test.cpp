@@ -2,7 +2,7 @@
 
 #include "camatrix/matrix.hpp"
 #include "camodel/model_io.hpp"
-#include "flow/hybrid.hpp"
+#include "active/learner.hpp"
 #include "flow/report.hpp"
 #include "netlist/spice_parser.hpp"
 #include "netlist/spice_writer.hpp"
@@ -120,9 +120,10 @@ TEST(Integration, LeaveOneOutMixedFunctionGroupDegradesGracefully) {
 // End-to-end hybrid flow on a tiny cross-technology corpus.
 TEST(Integration, HybridFlowRoutesAndReports) {
   const testing::SmallCorpus corpus = testing::make_small_corpus();
-  HybridOptions options;
-  options.ml.forest.num_trees = 10;
-  const HybridReport report = run_hybrid_flow(corpus.train, corpus.eval, options);
+  active::ActiveOptions options;
+  options.base.routing = RoutingPolicy::kStructural;
+  options.base.ml.forest.num_trees = 10;
+  const HybridReport report = active::run_active_flow(corpus.train, corpus.eval, options).hybrid;
 
   ASSERT_EQ(report.outcomes.size(), corpus.eval.size());
   // The shared functions must be structurally matched; XOR2 must not.

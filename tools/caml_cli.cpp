@@ -141,10 +141,9 @@ struct Args {
       "a structural-similarity prior into the active score. --sim-budget\n"
       "is modeled SPICE seconds (--budget-unit seconds, default) or a\n"
       "cell count (--budget-unit count); 0 = unlimited. -o saves the\n"
-      "final per-group forests (active/hybrid only) — byte-identical for\n"
-      "any --jobs value and across kill+resume (--checkpoint DIR journals\n"
-      "acquisition rounds; --resume replays them). See\n"
-      "docs/ACTIVE_LEARNING.md.\n"
+      "final per-group forests — byte-identical for any --jobs value and\n"
+      "across kill+resume (--checkpoint DIR journals acquisition rounds;\n"
+      "--resume replays them). See docs/ACTIVE_LEARNING.md.\n"
       "store: converts between the text interchange store and the binary\n"
       "mmap section (CAMLF1 models.bin): --to-binary writes the binary\n"
       "store, --to-text converts back (byte-identical round trip), --info\n"
@@ -346,25 +345,33 @@ int cmd_canonicalize(const Args& args) {
   return 0;
 }
 
-int cmd_train(const Args& args) {
-  if (args.positional.size() != 2 || args.out.empty()) {
-    usage("train needs a netlist, a camodel directory and -o <file>");
-  }
-  const std::vector<Cell> cells = load_cells(args.positional[0]);
-  std::vector<CharacterizedCell> training;
-  for (const Cell& cell : cells) {
-    const std::string path = args.positional[1] + "/" + cell.name() + ".camodel";
+/// Loads a library's cells plus their (ground-truth) CA models — the
+/// CharacterizedCell inputs of `train` and of the generation flow.
+std::vector<CharacterizedCell> load_characterized(const std::string& netlist,
+                                                  const std::string& camodel_dir) {
+  std::vector<CharacterizedCell> out;
+  for (const Cell& cell : load_cells(netlist)) {
+    const std::string path = camodel_dir + "/" + cell.name() + ".camodel";
     if (!std::filesystem::exists(path)) {
       std::cerr << "skipping " << cell.name() << ": no model at " << path << '\n';
       continue;
     }
     CharacterizedCell cc;
     cc.source.cell = cell;
-    cc.model = read_ca_model_file(path, cell);  // framed or legacy raw
-    cc.canonical = canonicalize(cell);
-    training.push_back(std::move(cc));
+    cc.model = read_ca_model_file(path, cell);
+    cc.canonical = canonicalize(cc.source.cell);
+    out.push_back(std::move(cc));
   }
-  if (training.empty()) throw Error("no training cells with CA models");
+  if (out.empty()) throw Error("no cells with CA models under " + camodel_dir);
+  return out;
+}
+
+int cmd_train(const Args& args) {
+  if (args.positional.size() != 2 || args.out.empty()) {
+    usage("train needs a netlist, a camodel directory and -o <file>");
+  }
+  const std::vector<CharacterizedCell> training =
+      load_characterized(args.positional[0], args.positional[1]);
   std::cerr << "training on " << training.size() << " cells\n";
   Log::set_level(LogLevel::kInfo);
   MlOptions options;
@@ -678,27 +685,6 @@ int cmd_query(const Args& args) {
   return failed == 0 ? 0 : 1;
 }
 
-/// Loads a library's cells plus their (ground-truth) CA models — the
-/// CharacterizedCell inputs the hybrid/active flows consume.
-std::vector<CharacterizedCell> load_characterized(const std::string& netlist,
-                                                  const std::string& camodel_dir) {
-  std::vector<CharacterizedCell> out;
-  for (const Cell& cell : load_cells(netlist)) {
-    const std::string path = camodel_dir + "/" + cell.name() + ".camodel";
-    if (!std::filesystem::exists(path)) {
-      std::cerr << "skipping " << cell.name() << ": no model at " << path << '\n';
-      continue;
-    }
-    CharacterizedCell cc;
-    cc.source.cell = cell;
-    cc.model = read_ca_model_file(path, cell);
-    cc.canonical = canonicalize(cc.source.cell);
-    out.push_back(std::move(cc));
-  }
-  if (out.empty()) throw Error("no cells with CA models under " + camodel_dir);
-  return out;
-}
-
 /// One deterministic per-cell routing line. Everything on stdout is a
 /// pure function of the inputs (no wall-clock), so smoke scripts can
 /// byte-compare runs across --jobs values and kill+resume.
@@ -725,6 +711,7 @@ int cmd_hybrid(const Args& args, RoutingPolicy default_routing) {
   }
   const std::optional<active::BudgetUnit> unit = active::parse_budget_unit(args.budget_unit);
   if (!unit) usage("unknown budget unit " + args.budget_unit + " (seconds | count)");
+  if (args.resume && args.checkpoint_dir.empty()) usage("--resume needs --checkpoint DIR");
 
   const std::vector<CharacterizedCell> training =
       load_characterized(args.positional[0], args.positional[1]);
@@ -733,41 +720,14 @@ int cmd_hybrid(const Args& args, RoutingPolicy default_routing) {
   std::cerr << "hybrid flow: " << training.size() << " training cells, " << targets.size()
             << " targets, routing " << routing_policy_name(routing) << '\n';
 
-  HybridOptions base;
-  base.ml.forest.num_trees = args.trees;
-  base.ml.forest.jobs = args.jobs;
-  base.routing = routing;
-  base.checkpoint.dir = args.checkpoint_dir;
-  base.checkpoint.every = args.checkpoint_every;
-  base.checkpoint.resume = args.resume;
-  if (!base.checkpoint.dir.empty()) std::filesystem::create_directories(base.checkpoint.dir);
-
-  if (routing == RoutingPolicy::kStructural) {
-    if (!args.out.empty()) usage("-o (final model store) needs --routing active|hybrid");
-    const HybridReport report = run_hybrid_flow(training, targets, base);
-    for (const HybridCellOutcome& o : report.outcomes) {
-      print_outcome_line(targets[o.cell_index], o, false);
-    }
-    double acc_sum = 0.0;
-    for (const HybridCellOutcome& o : report.outcomes) {
-      if (o.routed_to_ml) acc_sum += o.accuracy;
-    }
-    const std::size_t routed = report.count_routed_to_ml();
-    std::cout << "routing=structural targets=" << report.outcomes.size() << " ml=" << routed
-              << " degraded=" << report.count_degraded() << " mean-ml-accuracy="
-              << format_fixed(routed == 0 ? 0.0 : acc_sum / static_cast<double>(routed), 4)
-              << " accuracy98=" << format_fixed(report.ml_accuracy_above(0.98), 4) << '\n';
-    // Wall-clock-derived accounting is inherently non-reproducible, so
-    // it goes to stderr only.
-    std::cerr << "modeled conventional-only: "
-              << format_fixed(report.conventional_only_seconds(), 1) << " s, hybrid: "
-              << format_fixed(report.hybrid_seconds(), 1) << " s, overall reduction "
-              << format_fixed(100.0 * report.overall_reduction(), 2) << "%\n";
-    return 0;
-  }
-
   active::ActiveOptions options;
-  options.base = base;
+  options.base.ml.forest.num_trees = args.trees;
+  options.base.ml.forest.jobs = args.jobs;
+  options.base.routing = routing;
+  options.base.checkpoint.dir = args.checkpoint_dir;
+  options.base.checkpoint.every = args.checkpoint_every;
+  options.base.checkpoint.resume = args.resume;
+  if (!args.checkpoint_dir.empty()) std::filesystem::create_directories(args.checkpoint_dir);
   options.sim_budget = args.sim_budget;
   options.budget_unit = *unit;
   options.max_rounds = args.rounds;
@@ -803,6 +763,12 @@ int cmd_hybrid(const Args& args, RoutingPolicy default_routing) {
             << format_fixed(predicted == 0 ? 0.0 : acc_sum / static_cast<double>(predicted), 4)
             << " accuracy98=" << format_fixed(report.hybrid.ml_accuracy_above(0.98), 4)
             << '\n';
+  // Wall-clock-derived accounting is inherently non-reproducible, so it
+  // goes to stderr only.
+  std::cerr << "modeled conventional-only: "
+            << format_fixed(report.hybrid.conventional_only_seconds(), 1) << " s, hybrid: "
+            << format_fixed(report.hybrid.hybrid_seconds(), 1) << " s, overall reduction "
+            << format_fixed(100.0 * report.hybrid.overall_reduction(), 2) << "%\n";
   if (!args.out.empty()) {
     report.models.save_file(args.out);
     std::cerr << "wrote " << report.models.num_groups() << " group models to " << args.out
