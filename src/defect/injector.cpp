@@ -1,59 +1,13 @@
 #include "defect/injector.hpp"
 
-#include "util/error.hpp"
+#include "defect/overlay.hpp"
 
 namespace caml {
 
 Cell inject_defect(const Cell& cell, const Defect& defect, const InjectionConfig& config) {
-  const auto num = static_cast<TransistorId>(cell.num_transistors());
-  if (defect.a.transistor < 0 || defect.a.transistor >= num || defect.b.transistor < 0 ||
-      defect.b.transistor >= num) {
-    throw Error("defect references a transistor outside cell " + cell.name());
-  }
-
-  Cell out = cell;
-  const auto add_bridge = [&](NetId na, NetId nb, double width, const char* name) {
-    Transistor bridge;
-    bridge.name = name;
-    bridge.type = MosType::kNmos;
-    bridge.gate = out.vdd();  // always conducting
-    bridge.drain = na;
-    bridge.source = nb;
-    bridge.bulk = out.vss();
-    bridge.width_um = width;
-    bridge.length_um = config.short_length_um;
-    out.add_transistor(std::move(bridge));
-  };
-  switch (defect.kind) {
-    case DefectKind::kOpen: {
-      const NetId original = out.transistor(defect.a.transistor).terminal(defect.a.terminal);
-      const NetId floating =
-          out.add_net("__open_" + out.transistor(defect.a.transistor).name + "_" +
-                          terminal_name(defect.a.terminal),
-                      NetKind::kInternal);
-      out.transistor(defect.a.transistor).set_terminal(defect.a.terminal, floating);
-      if (defect.strength == DefectStrength::kResistive) {
-        // A leaky break: the detached terminal keeps a weak path to its
-        // original net.
-        add_bridge(original, floating, config.resistive_open_width_um, "__open_residual");
-      }
-      break;
-    }
-    case DefectKind::kShort: {
-      const NetId na = out.transistor(defect.a.transistor).terminal(defect.a.terminal);
-      const NetId nb = out.transistor(defect.b.transistor).terminal(defect.b.terminal);
-      if (na == nb) {
-        throw Error("short defect between already-connected nets in cell " + cell.name());
-      }
-      add_bridge(na, nb,
-                 defect.strength == DefectStrength::kResistive
-                     ? config.resistive_short_width_um
-                     : config.short_width_um,
-                 "__short_bridge");
-      break;
-    }
-  }
-  return out;
+  DefectOverlay overlay(cell, config);
+  overlay.apply(defect);
+  return std::move(overlay).release();
 }
 
 }  // namespace caml

@@ -32,6 +32,9 @@ struct InjectionConfig {
 ///  - short: a bridge device is added between the two terminal nets —
 ///    strong for hard shorts, weak for resistive ones.
 ///
+/// The geometry is DefectOverlay::apply()'s: this is one copy of the
+/// cell with the overlay applied to it.
+///
 /// Throws caml::Error if the defect references an invalid transistor or
 /// if a short's two terminals already share a net (a no-op defect; the
 /// enumerator never produces these).

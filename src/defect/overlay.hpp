@@ -1,5 +1,9 @@
 #pragma once
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "defect/defect.hpp"
 #include "defect/injector.hpp"
 #include "netlist/cell.hpp"
@@ -7,16 +11,14 @@
 namespace caml {
 
 /// In-place, revertible defect injection on one reusable working copy of
-/// a cell — the zero-allocation replacement for the per-defect
-/// inject_defect() cell copy in the characterization hot loop.
+/// a cell — the zero-allocation kernel of the characterization hot loop,
+/// and the one place the defect geometry lives (inject_defect() is a
+/// cell copy with apply() on it).
 ///
 /// The overlay owns a single copy of the base cell with net/transistor
 /// storage pre-reserved for the at-most-one extra net and one extra
 /// bridge device any defect adds, so apply()/revert() perform no heap
-/// allocation. The realized netlist transformation is identical to
-/// inject_defect() (same bridge geometry, same rewiring; only the names
-/// of the transient net/bridge differ, which no simulation result
-/// depends on):
+/// allocation. The realized netlist transformation:
 ///  - hard terminal open: the terminal is re-attached to a fresh
 ///    floating net,
 ///  - resistive open: as above, plus a weak residual bridge back to the
@@ -36,9 +38,9 @@ namespace caml {
 ///     overlay.revert();
 ///   }
 ///
-/// apply() throws caml::Error exactly when inject_defect() would (invalid
-/// transistor reference, short between already-connected nets) and
-/// leaves the working cell unchanged in that case.
+/// apply() throws caml::Error on an invalid transistor reference or a
+/// short between already-connected nets, and leaves the working cell
+/// unchanged in that case.
 class DefectOverlay {
  public:
   /// Upper bound on how much a single applied defect grows the cell.
@@ -62,6 +64,10 @@ class DefectOverlay {
   /// cell exactly. No-op when nothing is applied.
   void revert();
 
+  /// Moves the working cell out, with the applied defect if any. The
+  /// overlay must not be used afterwards.
+  Cell release() && { return std::move(cell_); }
+
  private:
   Cell cell_;
   InjectionConfig config_;
@@ -73,5 +79,21 @@ class DefectOverlay {
   bool added_net_ = false;
   bool added_bridge_ = false;
 };
+
+/// Maps every defect to its representative: the lowest index whose
+/// defect apply() realizes as the same faulty cell, so simulating the
+/// representative stands for all of them (representative[d] <= d; d
+/// needs its own simulation iff representative[d] == d).
+///
+/// apply() turns a short into a bridge device between the two nets its
+/// terminals sit on, with a width set only by the strength, so a short's
+/// key is (strength, unordered net pair). Unordered is exact because the
+/// bridge is the last transistor: swapping its drain and source leaves
+/// every per-net arc list of the switch solver's channel CSR unchanged.
+/// An open's key is its terminal, so opens never merge.
+///
+/// Throws caml::Error if a defect references a transistor outside the
+/// cell.
+std::vector<std::uint32_t> collapse_defects(const Cell& cell, const std::vector<Defect>& defects);
 
 }  // namespace caml

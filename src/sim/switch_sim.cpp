@@ -64,7 +64,10 @@ void SwitchSim::rebind() {
 
   // Channel CSR. Filling in ascending transistor order (drain arc before
   // source arc) reproduces the per-net visit order of the former
-  // vector-of-vectors adjacency exactly.
+  // vector-of-vectors adjacency exactly. Each device appends one arc to
+  // each of its two nets, so swapping the last device's drain and source
+  // leaves every per-net list unchanged — collapse_defects()' unordered
+  // short key depends on this.
   adj_offset_.assign(nets + 1, 0);
   for (const Transistor& tr : cell.transistors()) {
     ++adj_offset_[static_cast<std::size_t>(tr.drain) + 1];

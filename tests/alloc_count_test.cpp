@@ -1,17 +1,21 @@
-// Proof of the PR-5 "zero per-defect heap allocations" claim: global
+// Proof of the "zero per-defect heap allocations" claim: global
 // operator new/delete are replaced with counting versions, the
 // overlay + rebind + run_batch loop runs once to populate every
 // reserved buffer, and a second full pass over the defect universe must
-// then perform exactly zero allocations.
+// then perform exactly zero allocations — also when, as in
+// generate_ca_model, only collapse_defects() representatives are solved
+// and merged defects copy their representative's outputs.
 //
 // This lives in its own test binary (not caml_tests) because replacing
 // the global allocator is program-wide; it is also excluded from
 // sanitizer builds, which interpose their own new/delete.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 
 #include "defect/overlay.hpp"
 #include "defect/universe.hpp"
@@ -52,7 +56,8 @@ namespace caml {
 namespace {
 
 void expect_zero_alloc_sweep(const std::string& function, const DriveSpec& drive,
-                             const UniverseOptions& universe_options) {
+                             const UniverseOptions& universe_options,
+                             bool representatives_only = false) {
   const Technology tech = technology_28soi();
   Rng rng(7);
   const Cell cell = build_cell(find_function(function), tech, drive, {"", 1.0}, function, rng);
@@ -64,13 +69,24 @@ void expect_zero_alloc_sweep(const std::string& function, const DriveSpec& drive
   SwitchSim sim(overlay.cell());
   sim.reserve(cell.num_nets() + DefectOverlay::kMaxExtraNets,
               cell.num_transistors() + DefectOverlay::kMaxExtraTransistors);
-  std::vector<Sig> out(stimuli.size(), Sig::kX);
+  // As generate_ca_model does: the representative map and the
+  // per-defect output storage are allocated before the loop; merged
+  // defects copy their representative's outputs.
+  std::vector<std::uint32_t> representative(universe.size());
+  std::iota(representative.begin(), representative.end(), 0u);
+  if (representatives_only) representative = collapse_defects(cell, universe);
+  std::vector<std::vector<Sig>> outputs(universe.size(), std::vector<Sig>(stimuli.size()));
 
   const auto sweep = [&] {
-    for (const Defect& defect : universe) {
-      overlay.apply(defect);
+    for (std::size_t d = 0; d < universe.size(); ++d) {
+      if (representative[d] != d) {
+        const std::vector<Sig>& source = outputs[representative[d]];
+        std::copy(source.begin(), source.end(), outputs[d].begin());
+        continue;
+      }
+      overlay.apply(universe[d]);
       sim.rebind();
-      sim.run_batch(stimuli, out.data());
+      sim.run_batch(stimuli, outputs[d].data());
       overlay.revert();
     }
   };
@@ -96,6 +112,14 @@ TEST(AllocationCount, FullUniverseSweepSteadyStateIsAllocationFree) {
   options.inter_transistor_shorts = true;
   options.resistive_variants = true;
   expect_zero_alloc_sweep("AOI21", {2, StructureVariant::kSplit}, options);
+}
+
+TEST(AllocationCount, CollapsedFullUniverseSweepSteadyStateIsAllocationFree) {
+  UniverseOptions options;
+  options.inter_transistor_shorts = true;
+  options.resistive_variants = true;
+  expect_zero_alloc_sweep("AOI21", {2, StructureVariant::kSplit}, options,
+                          /*representatives_only=*/true);
 }
 
 }  // namespace

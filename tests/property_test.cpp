@@ -7,6 +7,7 @@
 
 #include "camodel/generate.hpp"
 #include "camodel/model_io.hpp"
+#include "defect/overlay.hpp"
 #include "flow/model_store.hpp"
 #include "netlist/spice_parser.hpp"
 #include "netlist/spice_writer.hpp"
@@ -40,6 +41,51 @@ TEST(SimProperty, DynamicResponseMatchesTruthTableAcrossCatalog) {
       }
     }
   }
+}
+
+// A short's bridge is the last transistor of the faulty cell, so which
+// of its two nets is drain and which is source never reaches the switch
+// solver's channel CSR. collapse_defects() keys shorts by unordered net
+// pair on the strength of this: applying a short as (a, b) and as (b, a)
+// must give the same raw outputs, X/Z included. One short per distinct
+// key, over one cell per catalog function.
+TEST(DefectProperty, ShortOrientationNeverChangesTheSolve) {
+  UniverseOptions full;
+  full.inter_transistor_shorts = true;
+  full.resistive_variants = true;
+  std::size_t checked = 0;
+  for (const Technology& tech : {technology_28soi(), technology_c28()}) {
+    Rng rng(tech.seed ^ 0x0B1D6E);
+    for (const CellFunction& f : function_catalog()) {
+      Rng cell_rng = rng.fork();
+      const Cell cell = build_cell(f, tech, {1, StructureVariant::kWide}, {"", 1.0},
+                                   f.name + "_orient", cell_rng);
+      const auto stimuli =
+          generate_stimuli(cell.num_inputs(), PolicyProfile{}.policy_for(cell.num_inputs()));
+      const std::vector<Defect> universe = enumerate_defects(cell, full);
+      const std::vector<std::uint32_t> representative = collapse_defects(cell, universe);
+      DefectOverlay overlay(cell);
+      SwitchSim sim(overlay.cell(), tech.sim);
+      std::vector<Sig> forward(stimuli.size()), backward(stimuli.size());
+      const auto solve = [&](const Defect& defect, std::vector<Sig>& out) {
+        overlay.apply(defect);
+        sim.rebind();
+        sim.run_batch(stimuli, out.data());
+        overlay.revert();
+      };
+      for (std::size_t d = 0; d < universe.size(); ++d) {
+        if (universe[d].kind != DefectKind::kShort || representative[d] != d) continue;
+        Defect swapped = universe[d];
+        std::swap(swapped.a, swapped.b);
+        solve(universe[d], forward);
+        solve(swapped, backward);
+        ASSERT_EQ(forward, backward) << f.name << " in " << tech.name << ": "
+                                     << universe[d].describe(cell);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 // Every detection bit in a generated CA model corresponds to a real
