@@ -1,14 +1,15 @@
 // E12 — accuracy vs. simulation budget for the active-learning flow
-// (ROADMAP item 4, docs/ACTIVE_LEARNING.md). The structural baseline
-// simulates every structurally new cell, which fixes a reference spend
-// S; the active policy is then run at fractions of S and must buy at
-// least the same model quality once it can afford the same spend.
+// (docs/ACTIVE_LEARNING.md). The structural baseline simulates every
+// structurally new cell, which fixes a reference spend S; the active
+// policy is then run at fractions of S and must buy at least the same
+// model quality once it can afford the same spend.
 //
-// Output: one `RESULT active_budget key=value ...` line per flow run
-// (parsed by scripts/run_bench.sh into BENCH_PR9.json), plus a
-// human-readable curve. Exit status 1 if the active policy at the full
-// budget falls more than 0.002 mean accuracy below the structural
-// baseline — the acceptance gate of the active-learning PR.
+// Output: one `RESULT active_budget key=value ...` line per flow run,
+// plus a human-readable summary. Exit status 1 if
+//   * the active policy at the full budget falls more than 0.002 mean
+//     accuracy below the structural baseline,
+//   * any active run spends more than its budget, or
+//   * a larger budget buys fewer acquisitions than a smaller one.
 //
 // Deterministic: fixed builder seeds, exhaustive stimuli, and the
 // active loop's by-construction determinism (fixed forest seeds, any
@@ -114,8 +115,11 @@ int main(int argc, char** argv) {
   const std::size_t base_simulated = base.outcomes.size() - base.count_routed_to_ml();
   result_line("structural", 1.0, reference_spend, reference_spend, base_simulated, base);
 
-  const double fractions[] = {0.25, 0.5, 1.0};
+  const double fractions[] = {0.25, 0.5, 1.0};  // ascending: acquisitions must not fall
   double active_full_acc = 0.0;
+  bool within_budget = true;
+  bool monotone = true;
+  std::size_t prev_acquired = 0;
   for (const double frac : fractions) {
     active::ActiveOptions options;
     options.base.ml = bench::ml_options();
@@ -125,6 +129,9 @@ int main(int argc, char** argv) {
     const active::ActiveReport report = active::run_active_flow(training, targets, options);
     result_line("active", frac, report.budget, report.spent, report.acquired, report.hybrid);
     if (frac == 1.0) active_full_acc = mean_accuracy(report.hybrid);
+    within_budget = within_budget && report.spent <= report.budget + 1e-6;
+    monotone = monotone && report.acquired >= prev_acquired;
+    prev_acquired = report.acquired;
   }
 
   const double base_acc = mean_accuracy(base);
@@ -132,10 +139,22 @@ int main(int argc, char** argv) {
             << " modeled seconds (" << base_simulated << " simulated cells)\n";
   std::cout << "mean accuracy: structural " << format_fixed(base_acc, 4) << " vs active@1.0S "
             << format_fixed(active_full_acc, 4) << "\n";
+  int status = 0;
   if (active_full_acc + 0.002 < base_acc) {
     std::cerr << "FAIL: active routing at the full budget lost more than 0.002 mean accuracy\n";
-    return 1;
+    status = 1;
   }
-  std::cout << "PASS: active routing at equal budget matches the structural baseline\n";
-  return 0;
+  if (!within_budget) {
+    std::cerr << "FAIL: an active run spent more than its budget\n";
+    status = 1;
+  }
+  if (!monotone) {
+    std::cerr << "FAIL: a larger budget bought fewer acquisitions\n";
+    status = 1;
+  }
+  if (status == 0) {
+    std::cout << "PASS: active routing at equal budget matches the structural baseline; "
+                 "every run stays within budget; acquisitions grow with the budget\n";
+  }
+  return status;
 }

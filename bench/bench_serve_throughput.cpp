@@ -12,8 +12,11 @@
 //     shows the realized coalescing.
 //
 // Both sweeps end with a determinism check: every configuration and
-// both modes must produce byte-identical predictions. --quick shrinks
-// the sweep to a seconds-scale smoke for the cmake `verify` target.
+// both modes must produce byte-identical predictions. The roundtrip
+// sweep also gates the tail: p99/p50 must stay below 10 at every worker
+// count. Exit status 1 on a dropped request, a divergent prediction or
+// a tail ratio of 10 or more. --quick shrinks the sweep to a
+// seconds-scale smoke for the cmake `verify` target.
 #include <unistd.h>
 
 #include <algorithm>
@@ -32,6 +35,7 @@
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/timing.hpp"
 
@@ -228,11 +232,16 @@ int main(int argc, char** argv) {
   roundtrip.cell("p99 ms");
   roundtrip.cell("p99/p50");
   roundtrip.cell("speedup");
+  // The event-loop server keeps the roundtrip tail single-digit; the
+  // pinned-worker design it replaced sat near 200x at workers=1.
+  constexpr double kMaxTailRatio = 10.0;
+  bool tails_ok = true;
   double baseline_seconds = 0.0;
   for (const std::size_t workers : worker_sweep) {
     const RunResult r =
         run_roundtrip(store, netlist, socket_path, workers, requests_per_client);
     check(r);
+    tails_ok = tails_ok && tail_ratio(r) < kMaxTailRatio;
     if (workers == worker_sweep.front()) baseline_seconds = r.seconds;
     roundtrip.new_row();
     roundtrip.cell(std::to_string(workers));
@@ -279,6 +288,8 @@ int main(int argc, char** argv) {
 
   std::cout << "all requests served: " << (all_ok ? "yes" : "NO — DROPPED REQUESTS")
             << "\npredictions identical across configurations: "
-            << (identical ? "yes" : "NO — DETERMINISM BUG") << '\n';
-  return (all_ok && identical) ? 0 : 1;
+            << (identical ? "yes" : "NO — DETERMINISM BUG")
+            << "\nroundtrip p99/p50 below " << format_fixed(kMaxTailRatio, 0)
+            << " at every worker count: " << (tails_ok ? "yes" : "NO — TAIL REGRESSION") << '\n';
+  return (all_ok && identical && tails_ok) ? 0 : 1;
 }

@@ -9,7 +9,16 @@
 // rebind). Both record per-defect latency into obs histograms and report
 // the run's p50/p99 (snapshot-diffed, so sweep iterations don't bleed
 // into each other) plus defect simulations per second.
+//
+// Gate: whenever a run includes both defect_sweep_copy/<cell> and
+// defect_sweep/<cell>, the kernel must simulate at least 2x as many
+// defects per second as the baseline on that cell, or main exits 1.
 #include <benchmark/benchmark.h>
+
+#include <iostream>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "defect/injector.hpp"
 #include "defect/overlay.hpp"
@@ -18,6 +27,7 @@
 #include "libgen/builder.hpp"
 #include "obs/metrics.hpp"
 #include "sim/switch_sim.hpp"
+#include "util/strings.hpp"
 #include "util/timing.hpp"
 
 namespace {
@@ -123,6 +133,26 @@ void BM_DefectSimulationOverlay(benchmark::State& state, const std::string& func
   report_defect_counters(state, hist, before, stimuli.size(), defects.size());
 }
 
+/// Console output plus the defect_sims_per_s of every finished run, keyed
+/// by benchmark name, for the kernel gate in main.
+class SweepRateReporter : public benchmark::ConsoleReporter {
+ public:
+  SweepRateReporter() : ConsoleReporter(OO_None) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      const auto rate = run.counters.find("defect_sims_per_s");
+      if (run.run_type == Run::RT_Iteration && !run.error_occurred &&
+          rate != run.counters.end()) {
+        rates[run.benchmark_name()] = rate->second;
+      }
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  std::map<std::string, double> rates;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -154,6 +184,26 @@ int main(int argc, char** argv) {
     BM_DefectSimulationOverlay(s, "AOI21", {2, V::kSplit});
   });
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  SweepRateReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+
+  constexpr double kMinKernelSpeedup = 2.0;
+  const std::string kernel = "defect_sweep/";
+  int status = 0;
+  for (const auto& [name, rate] : reporter.rates) {
+    if (name.rfind(kernel, 0) != 0) continue;
+    const std::string cell = name.substr(kernel.size());
+    const auto baseline = reporter.rates.find("defect_sweep_copy/" + cell);
+    if (baseline == reporter.rates.end()) continue;
+    const double speedup = rate / baseline->second;
+    std::cout << "kernel speedup over defect_sweep_copy on " << cell << ": "
+              << format_fixed(speedup, 2) << "x (gate >= " << format_fixed(kMinKernelSpeedup, 1)
+              << "x)\n";
+    if (speedup < kMinKernelSpeedup) {
+      std::cerr << "FAIL: defect_sweep/" << cell << " is below " << kMinKernelSpeedup
+                << "x the baseline kernel\n";
+      status = 1;
+    }
+  }
+  return status;
 }

@@ -10,7 +10,8 @@
 #   (d) the `caml active` verb is the same flow,
 #   (e) active reaches at least the structural baseline's mean ML
 #       accuracy on this corpus,
-#   (f) --resume without --checkpoint is a usage error (exit 2).
+#   (f) --resume without --checkpoint is a usage error (exit 2),
+#   (g) --trees 0 is a usage error (exit 2) for train, hybrid and active.
 # Pass a different build dir as $1.
 set -eu
 BUILD_DIR="${1:-build}"
@@ -46,6 +47,13 @@ run_active() { # run_active JOBS CHECKPOINT_DIR STORE ROUNDS [extra...]
     --jobs "$jobs" --checkpoint "$ck" -o "$store" "$@" 2>/dev/null
 }
 
+expect_usage_error() { # expect_usage_error LABEL CMD...
+  label="$1"; shift
+  status=0
+  "$@" >/dev/null 2>&1 || status=$?
+  [ "$status" = 2 ] || { echo "FAIL: $label exited $status, want 2"; exit 1; }
+}
+
 echo "== structural baseline"
 "$CAML" hybrid "$WORK/train.sp" "$WORK/train_cam" "$WORK/target.sp" "$WORK/target_cam" \
   2>/dev/null > "$WORK/structural.out"
@@ -53,10 +61,17 @@ grep -q '^routing=structural' "$WORK/structural.out" \
   || { echo "FAIL: structural summary line missing"; exit 1; }
 
 echo "== --resume without --checkpoint is a usage error"
-status=0
-"$CAML" hybrid "$WORK/train.sp" "$WORK/train_cam" "$WORK/target.sp" "$WORK/target_cam" \
-  --resume >/dev/null 2>&1 || status=$?
-[ "$status" = 2 ] || { echo "FAIL: --resume without --checkpoint exited $status, want 2"; exit 1; }
+expect_usage_error "--resume without --checkpoint" \
+  "$CAML" hybrid "$WORK/train.sp" "$WORK/train_cam" "$WORK/target.sp" "$WORK/target_cam" --resume
+
+echo "== --trees 0 is a usage error"
+expect_usage_error "train --trees 0" \
+  "$CAML" train "$WORK/train.sp" "$WORK/train_cam" -o "$WORK/empty.caml" --trees 0
+[ ! -e "$WORK/empty.caml" ] || { echo "FAIL: 'train --trees 0' wrote a store"; exit 1; }
+expect_usage_error "hybrid --trees 0" \
+  "$CAML" hybrid "$WORK/train.sp" "$WORK/train_cam" "$WORK/target.sp" "$WORK/target_cam" --trees 0
+expect_usage_error "active --trees 0" \
+  "$CAML" active "$WORK/train.sp" "$WORK/train_cam" "$WORK/target.sp" "$WORK/target_cam" --trees 0
 
 echo "== active: --jobs 1 vs --jobs 4 must be byte-identical"
 run_active 1 "$WORK/ck1" "$WORK/m1.caml" 2 > "$WORK/active1.out"

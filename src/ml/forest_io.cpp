@@ -101,6 +101,7 @@ LoadedForest read_forest(std::istream& in) {
   }
   LoadedForest out;
   const std::size_t trees = parse_size(head[1].substr(6), "FOREST tree count", line_no);
+  if (trees == 0) throw ParseError("FOREST declares zero trees", line_no);
   out.num_features = parse_size(head[2].substr(9), "FOREST feature count", line_no);
   out.forest.num_features_ = out.num_features;
   for (std::size_t t = 0; t < trees; ++t) {

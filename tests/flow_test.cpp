@@ -321,7 +321,8 @@ TEST(ModelStore, RejectsCorruptStoreFile) {
   EXPECT_THROW(GroupModelStore::load(truncated), ParseError);
   std::istringstream bad_group(header + "GROUP x 4\n");
   EXPECT_THROW(GroupModelStore::load(bad_group), ParseError);
-  std::istringstream missing_end(header + "GROUP 2 4\nFOREST trees=0 features=3\nENDFOREST\n");
+  std::istringstream missing_end(
+      header + "GROUP 2 4\nFOREST trees=1 features=3\nTREE nodes=1\n-1 -1 0 0 1 1\nENDFOREST\n");
   EXPECT_THROW(GroupModelStore::load(missing_end), ParseError);
 }
 

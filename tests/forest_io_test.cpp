@@ -70,6 +70,14 @@ TEST(ForestIo, RejectsCorruptNumericTokens) {
   EXPECT_THROW(read_forest(negative_count), ParseError);
 }
 
+// A forest without trees cannot classify, so the text reader rejects it
+// up front, as the binary store reader does ("group declares zero
+// trees"), instead of handing back a store that fails at predict time.
+TEST(ForestIo, RejectsZeroTreeForest) {
+  std::istringstream empty("FOREST trees=0 features=3\nENDFOREST\n");
+  EXPECT_THROW(read_forest(empty), ParseError);
+}
+
 TEST(ForestIo, NumFeaturesTrackedAtFit) {
   Rng rng(33);
   const Dataset train = make_data(100, rng);

@@ -5,6 +5,7 @@
 #include <iostream>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "camodel/model_io.hpp"
 #include "flow/characterize.hpp"
@@ -106,21 +107,24 @@ TEST(ParallelDeterminism, CharacterizeLibraryMatchesSerial) {
   const Library lib = make_parallel_library();
   CharacterizeOptions serial;
   serial.jobs = 1;
-  CharacterizeOptions parallel;
-  parallel.jobs = 4;
   const std::vector<CharacterizedCell> a = characterize_library(lib, serial);
-  const std::vector<CharacterizedCell> b = characterize_library(lib, parallel);
   ASSERT_EQ(a.size(), lib.cells.size());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // Order and content are bit-identical: same cell, same serialized CA
-    // model, same canonical signatures.
-    EXPECT_EQ(a[i].source.cell.name(), lib.cells[i].cell.name());
-    EXPECT_EQ(b[i].source.cell.name(), lib.cells[i].cell.name());
-    EXPECT_EQ(ca_model_to_string(a[i].model, a[i].source.cell),
-              ca_model_to_string(b[i].model, b[i].source.cell));
-    EXPECT_EQ(a[i].canonical.structure_signature, b[i].canonical.structure_signature);
-    EXPECT_EQ(a[i].canonical.reduced_signature, b[i].canonical.reduced_signature);
+  for (const std::size_t jobs : {2, 4, 8}) {
+    CharacterizeOptions parallel;
+    parallel.jobs = jobs;
+    const std::vector<CharacterizedCell> b = characterize_library(lib, parallel);
+    ASSERT_EQ(a.size(), b.size()) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      // Order and content are bit-identical: same cell, same serialized
+      // CA model, same canonical signatures.
+      EXPECT_EQ(a[i].source.cell.name(), lib.cells[i].cell.name());
+      EXPECT_EQ(b[i].source.cell.name(), lib.cells[i].cell.name()) << "jobs=" << jobs;
+      EXPECT_EQ(ca_model_to_string(a[i].model, a[i].source.cell),
+                ca_model_to_string(b[i].model, b[i].source.cell))
+          << "jobs=" << jobs;
+      EXPECT_EQ(a[i].canonical.structure_signature, b[i].canonical.structure_signature);
+      EXPECT_EQ(a[i].canonical.reduced_signature, b[i].canonical.reduced_signature);
+    }
   }
 }
 
@@ -158,22 +162,22 @@ TEST(ParallelDeterminism, ForestFitMatchesSerialForAnyJobs) {
       base.bootstrap = bootstrap;
       base.max_samples_per_tree = cap;
 
-      std::string serialized[2];
-      std::vector<std::uint8_t> predictions[2];
-      const std::size_t job_counts[2] = {1, 4};
-      for (int v = 0; v < 2; ++v) {
+      const auto fit = [&](std::size_t jobs) {
         ForestParams params = base;
-        params.jobs = job_counts[v];
+        params.jobs = jobs;
         RandomForest forest(params);
         forest.fit(train);
         std::ostringstream os;
         write_forest(os, forest, train.num_features());
-        serialized[v] = os.str();
-        predictions[v] = forest.predict_all(test);
+        return std::make_pair(os.str(), forest.predict_all(test));
+      };
+      const auto serial = fit(1);
+      for (const std::size_t jobs : {2, 4, 8}) {
+        const auto parallel = fit(jobs);
+        EXPECT_EQ(serial.first, parallel.first)
+            << "bootstrap=" << bootstrap << " cap=" << cap << " jobs=" << jobs;
+        EXPECT_EQ(serial.second, parallel.second) << "jobs=" << jobs;
       }
-      EXPECT_EQ(serialized[0], serialized[1])
-          << "bootstrap=" << bootstrap << " cap=" << cap;
-      EXPECT_EQ(predictions[0], predictions[1]);
     }
   }
 }

@@ -207,7 +207,10 @@ Args parse_args(int argc, char** argv) {
     if (a == "-o" || a == "--out") args.out = value();
     else if (a == "-m" || a == "--models") args.models = value();
     else if (a == "--policy") args.policy = value();
-    else if (a == "--trees") args.trees = count_value();
+    else if (a == "--trees") {
+      args.trees = count_value();
+      if (args.trees == 0) usage("--trees needs a value >= 1");
+    }
     else if (a == "--jobs") args.jobs = count_value();
     else if (a == "--inter-shorts") args.inter_shorts = true;
     else if (a == "--socket") args.socket = value();
