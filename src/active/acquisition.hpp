@@ -24,8 +24,8 @@ struct CandidateScore {
 double structural_prior(StructureMatch match);
 
 /// Blended per-cell confidence: the mean over the cell's CA-matrix rows
-/// of 0.5 * |2p - 1| (soft-vote margin from predict_proba_batch) +
-/// 0.5 * vote-disagreement margin (predict_margin_batch). Rows
+/// of 0.5 * |2p - 1| (soft-vote margin) + 0.5 * vote-disagreement
+/// margin, both from one Classifier::predict_product walk. Rows
 /// accumulate in matrix order, so the value is a deterministic function
 /// of the two input vectors. Both vectors must have equal length > 0.
 double blended_confidence(const std::vector<double>& proba, const std::vector<double>& margin);

@@ -342,7 +342,7 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
 
     // Score every unacquired target. Scoring only reads shared state;
     // parallel_map keeps input order, each cell's rows classify in one
-    // batch with tree-order accumulation — confidences are identical
+    // factored walk with tree-order accumulation — confidences are identical
     // for any jobs value. The structural score is 1 for a routable
     // cell, 0 for one that needs simulation.
     std::vector<std::size_t> candidates;
@@ -362,15 +362,12 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
           double confidence = 0.0;
           const auto fit = forests.find(key);
           if (fit != forests.end()) {
-            const CaMatrix& matrix = prepared[i]->matrix;
-            if (matrix.num_rows() == 0) {
+            if (prepared[i]->matrix.num_rows() == 0) {
               confidence = 1.0;  // nothing to predict; never worth a simulation
             } else {
-              const std::vector<double> proba = fit->second.predict_proba_batch(
-                  matrix.features().data(), matrix.num_rows(), matrix.num_features());
-              const std::vector<double> margin = fit->second.predict_margin_batch(
-                  matrix.features().data(), matrix.num_rows(), matrix.num_features());
-              confidence = blended_confidence(proba, margin);
+              // One factored walk yields both the soft and the hard votes.
+              const ProductVotes votes = fit->second.predict_product(prepared[i]->product());
+              confidence = blended_confidence(votes.proba, votes.margin);
             }
           }
           if (use_prior) {
@@ -464,12 +461,8 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
       try {
         const auto t0 = Clock::now();
         PreparedPrediction& prep = prepared_for(i);
-        const CaMatrix& matrix = prep.matrix;
         const std::vector<std::uint8_t> labels =
-            matrix.num_rows() == 0
-                ? std::vector<std::uint8_t>{}
-                : fit->second.predict_batch(matrix.features().data(), matrix.num_rows(),
-                                            matrix.num_features());
+            fit->second.predict_product(prep.product()).labels();
         const CaModel predicted = finish_prediction(std::move(prep), labels.data());
         prepared[i].reset();  // consumed
         outcome.ml_seconds = std::chrono::duration<double>(Clock::now() - t0).count();

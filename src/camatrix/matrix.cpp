@@ -50,6 +50,8 @@ class MatrixBuilder {
 
     // Pre-encode the stimulus-dependent prefix of every row.
     const std::size_t t_count = cell_.num_transistors();
+    matrix_.stimulus_columns_ =
+        cols - 4 * t_count - (options_.include_defect_kind ? std::size_t{1} : 0);
     std::vector<std::vector<std::int8_t>> prefix(stimuli.size());
     for (std::size_t s = 0; s < stimuli.size(); ++s) {
       auto& row = prefix[s];
@@ -68,6 +70,7 @@ class MatrixBuilder {
               activity_code(golden.activity[s][ti], cell_.transistor(id).type);
         }
       }
+      CAML_ASSERT(row.size() == matrix_.stimulus_columns_);
     }
 
     const auto emit_rows = [&](std::int32_t defect_index,
@@ -160,10 +163,8 @@ CaMatrix build_ca_matrix(const Cell& cell, const CaModel& model, const Canonical
 }
 
 CaMatrix build_unlabeled_matrix(const Cell& cell, const std::vector<Defect>& defects,
-                                StimulusPolicy policy, const CanonicalCell& canon,
-                                const SimConfig& sim, const MatrixOptions& options) {
-  const std::vector<Stimulus> stimuli = generate_stimuli(cell.num_inputs(), policy);
-  const GoldenResult golden = simulate_golden(cell, stimuli, sim);
+                                const std::vector<Stimulus>& stimuli, const GoldenResult& golden,
+                                const CanonicalCell& canon, const MatrixOptions& options) {
   MatrixOptions opt = options;
   opt.include_free_rows = false;  // inference rows only
   MatrixBuilder builder(cell, canon, opt);

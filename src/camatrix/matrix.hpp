@@ -10,6 +10,8 @@
 
 namespace caml {
 
+struct GoldenResult;
+
 /// Column selection / ablation knobs for the CA-matrix.
 struct MatrixOptions {
   /// Per-transistor switching-activity columns (paper Table I). Turning
@@ -63,6 +65,12 @@ class CaMatrix {
   /// Stimulus index per row.
   const std::vector<std::uint32_t>& row_stimulus() const { return row_stimulus_; }
 
+  /// Columns [0, stimulus_columns()) depend only on the stimulus (inputs,
+  /// Z, truth table, activity); the rest only on the defect. Rows are
+  /// emitted defect-major, one per stimulus, so an unlabeled matrix of
+  /// S stimuli is the stimulus × defect product: row d·S + s.
+  std::size_t stimulus_columns() const { return stimulus_columns_; }
+
  private:
   friend class MatrixBuilder;
   std::vector<std::string> column_names_;
@@ -70,6 +78,7 @@ class CaMatrix {
   std::vector<std::uint8_t> labels_;
   std::vector<std::int32_t> row_defect_;
   std::vector<std::uint32_t> row_stimulus_;
+  std::size_t stimulus_columns_ = 0;
   bool has_labels_ = false;
 };
 
@@ -80,9 +89,11 @@ CaMatrix build_ca_matrix(const Cell& cell, const CaModel& model, const Canonical
 
 /// Builds the unlabeled CA-matrix of a *new* cell (inference data): same
 /// columns, rows for every (stimulus, defect) pair, labels all zero.
+/// The caller passes the stimuli and their golden simulation, which it
+/// also needs for the predicted model's skeleton.
 CaMatrix build_unlabeled_matrix(const Cell& cell, const std::vector<Defect>& defects,
-                                StimulusPolicy policy, const CanonicalCell& canon,
-                                const SimConfig& sim = {}, const MatrixOptions& options = {});
+                                const std::vector<Stimulus>& stimuli, const GoldenResult& golden,
+                                const CanonicalCell& canon, const MatrixOptions& options = {});
 
 /// Number of feature columns a matrix will have for a cell group with
 /// the given shape under the given options.

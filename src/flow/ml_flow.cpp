@@ -54,22 +54,31 @@ std::unique_ptr<Classifier> train_group_classifier(
   return classifier;
 }
 
+ProductView PreparedPrediction::product() const {
+  CAML_ASSERT(matrix.num_rows() == model.stimuli.size() * model.defects.size());
+  return ProductView{matrix.features().data(), matrix.num_features(),
+                     matrix.stimulus_columns(), model.stimuli.size(), model.defects.size()};
+}
+
 PreparedPrediction prepare_prediction(const Cell& cell, const CanonicalCell& canonical,
                                       StimulusPolicy policy, const SimConfig& sim,
                                       const MatrixOptions& matrix_options,
                                       std::vector<Defect> defects) {
   PreparedPrediction prepared;
-  prepared.matrix = [&] {
-    CAML_TRACE_SPAN_ITEMS("matrix_build", defects.size());
-    return build_unlabeled_matrix(cell, defects, policy, canonical, sim, matrix_options);
-  }();
   CaModel& predicted = prepared.model;
   predicted.cell_name = cell.name();
   predicted.num_inputs = cell.num_inputs();
   predicted.policy = policy;
-  predicted.stimuli = generate_stimuli(cell.num_inputs(), policy);
-  const GoldenResult golden = simulate_golden(cell, predicted.stimuli, sim);
-  predicted.golden_responses = golden.responses;
+  {
+    CAML_TRACE_SPAN_ITEMS("matrix_build", defects.size());
+    // One golden sweep serves both the matrix prefix and the model's
+    // golden responses.
+    predicted.stimuli = generate_stimuli(cell.num_inputs(), policy);
+    const GoldenResult golden = simulate_golden(cell, predicted.stimuli, sim);
+    prepared.matrix = build_unlabeled_matrix(cell, defects, predicted.stimuli, golden,
+                                             canonical, matrix_options);
+    predicted.golden_responses = golden.responses;
+  }
   predicted.defects.resize(defects.size());
   for (std::size_t d = 0; d < defects.size(); ++d) {
     predicted.defects[d].defect = defects[d];
@@ -95,8 +104,8 @@ namespace {
 
 /// Shared inference core: classify every (stimulus, defect) row of the
 /// unlabeled CA-matrix and assemble the predicted CaModel. The same
-/// prepare → predict_batch → finish sequence the serve plane runs with
-/// coalesced batches, so both paths stay byte-identical by construction.
+/// prepare → predict_product → finish sequence the serve plane runs, so
+/// both paths stay byte-identical by construction.
 CaModel predict_from_defects(const Classifier& classifier, const Cell& cell,
                              const CanonicalCell& canonical, StimulusPolicy policy,
                              const SimConfig& sim, const MatrixOptions& matrix_options,
@@ -105,16 +114,8 @@ CaModel predict_from_defects(const Classifier& classifier, const Cell& cell,
   span.attr("cell", cell.name());
   PreparedPrediction prepared =
       prepare_prediction(cell, canonical, policy, sim, matrix_options, std::move(defects));
-  // One batched classification for the whole request: the matrix's
-  // feature block is contiguous row-major, so the classifier sweeps it
-  // in a single call (tree-major for RandomForest) instead of one
-  // virtual dispatch per (stimulus, defect) row.
-  const CaMatrix& matrix = prepared.matrix;
   const std::vector<std::uint8_t> labels =
-      matrix.num_rows() == 0
-          ? std::vector<std::uint8_t>{}
-          : classifier.predict_batch(matrix.features().data(), matrix.num_rows(),
-                                     matrix.num_features());
+      classifier.predict_product(prepared.product()).labels();
   return finish_prediction(std::move(prepared), labels.data());
 }
 

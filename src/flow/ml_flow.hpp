@@ -47,27 +47,29 @@ CaModel predict_ca_model(const Classifier& classifier, const CharacterizedCell& 
 /// The classifier-independent half of a prediction: the unlabeled
 /// CA-matrix plus the CaModel skeleton (stimuli, golden responses,
 /// defect list, zeroed detection bits). Splitting prediction into
-/// prepare → classify → finish lets callers hand the feature rows of
-/// *several* prepared cells of one group to a single
-/// Classifier::predict_batch call (the serve plane's cross-connection
-/// batch coalescing) — per-row classification is independent, so any
-/// grouping of rows into batches yields identical labels.
+/// prepare → classify → finish lets the serve plane prepare a coalesced
+/// batch of cells before classifying any, and the active loop score a
+/// prepared cell in every round.
 struct PreparedPrediction {
   CaMatrix matrix;  ///< unlabeled features + (stimulus, defect) row map
   CaModel model;    ///< everything except the detection bits
+
+  /// The matrix as the stimulus × defect product that
+  /// Classifier::predict_product classifies.
+  ProductView product() const;
 };
 
 /// Builds the unlabeled matrix and model skeleton of one cell. The
 /// feature rows to classify are prepared.matrix.features() (row-major,
-/// stride = matrix.num_features()).
+/// stride = matrix.num_features()), or prepared.product() factored.
 PreparedPrediction prepare_prediction(const Cell& cell, const CanonicalCell& canonical,
                                       StimulusPolicy policy, const SimConfig& sim,
                                       const MatrixOptions& matrix_options,
                                       std::vector<Defect> defects);
 
-/// Scatters one label per matrix row (in row order) into the prepared
-/// model's detection bits and finalizes it. `labels` must hold
-/// prepared.matrix.num_rows() entries.
+/// Scatters one label per matrix row (in row order, which is product
+/// row order) into the prepared model's detection bits and finalizes
+/// it. `labels` must hold prepared.matrix.num_rows() entries.
 CaModel finish_prediction(PreparedPrediction prepared, const std::uint8_t* labels);
 
 /// Prediction for a genuinely new cell — no ground-truth model exists.

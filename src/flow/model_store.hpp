@@ -29,8 +29,8 @@ class ModelStore {
 
   /// The trained classifier of a group, or nullptr when the group is
   /// untrained (callers route such cells to conventional generation).
-  /// Lets the serve plane concatenate the feature rows of several cells
-  /// of one group into a single Classifier::predict_batch call.
+  /// Lets the serve plane classify the prepared cells of a batch group
+  /// by group.
   virtual const Classifier* classifier_for(const GroupKey& key) const = 0;
 
   bool has_group(const GroupKey& key) const { return classifier_for(key) != nullptr; }

@@ -9,6 +9,29 @@
 
 namespace caml {
 
+/// An unlabeled inference CA-matrix read as the stimulus × defect
+/// product it is. Row d·S + s of the row-major block `rows` (`stride`
+/// features apart) joins stimulus s's columns [0, prefix) with defect
+/// d's columns [prefix, stride). Stimulus s is read from row s and
+/// defect d from row d·S, so the view needs no storage of its own.
+struct ProductView {
+  const std::int8_t* rows = nullptr;
+  std::size_t stride = 0;
+  std::size_t prefix = 0;  ///< stimulus columns; the rest describe the defect
+  std::size_t stimuli = 0;
+  std::size_t defects = 0;
+
+  std::size_t num_rows() const { return stimuli * defects; }
+};
+
+/// Per-row classification of a ProductView, in product row order.
+struct ProductVotes {
+  std::vector<double> proba;   ///< probability of class 1
+  std::vector<double> margin;  ///< as Classifier::predict_margin_batch
+  /// proba >= 0.5: the labels predict_batch gives for the same rows.
+  std::vector<std::uint8_t> labels() const;
+};
+
 /// Common interface of all binary classifiers in this library. fit()
 /// must be called before predict(); rows passed to predict() must have
 /// the same feature count as the training data.
@@ -40,6 +63,14 @@ class Classifier {
   /// uncertainty-driven acquisition treats it as fully confident.
   virtual std::vector<double> predict_margin_batch(const std::int8_t* rows, std::size_t n,
                                                    std::size_t stride) const;
+
+  /// Probability and margin of every row of a stimulus × defect product
+  /// — the call every inference path makes on an unlabeled CA-matrix.
+  /// Forests override it with the factored walk (ml/forest_walk.hpp),
+  /// bit-identical to their row-wise batches. The default classifies the
+  /// materialized rows with predict_batch (proba is the 0/1 label) and
+  /// predict_margin_batch.
+  virtual ProductVotes predict_product(const ProductView& product) const;
 };
 
 }  // namespace caml

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ml/forest_walk.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -12,26 +13,13 @@ namespace caml {
 
 namespace {
 
-/// Forest observability: per-tree fit latency feeds the profile of
-/// training runs; batch-size and row counters characterize inference
-/// traffic (serve daemon and offline predict alike).
-struct ForestMetrics {
-  obs::Histogram& tree_fit_us;
-  obs::Histogram& batch_rows;
-  obs::Counter& rows_predicted;
-
-  static ForestMetrics& get() {
-    static ForestMetrics m{
-        obs::Registry::global().histogram("caml_forest_tree_fit_us",
-                                          "Per-tree fit latency in microseconds"),
-        obs::Registry::global().histogram("caml_forest_batch_rows",
-                                          "Rows per predict_proba_batch call"),
-        obs::Registry::global().counter("caml_forest_rows_predicted_total",
-                                        "Rows classified across all batch predictions"),
-    };
-    return m;
-  }
-};
+/// Per-tree fit latency feeds the profile of training runs (the
+/// inference counters live with the traversal kernels, forest_walk.cpp).
+obs::Histogram& tree_fit_us() {
+  static obs::Histogram& h = obs::Registry::global().histogram(
+      "caml_forest_tree_fit_us", "Per-tree fit latency in microseconds");
+  return h;
+}
 
 }  // namespace
 
@@ -88,7 +76,7 @@ void RandomForest::grow(const Dataset& data, std::size_t count, std::uint64_t se
   parallel_for(count, params_.jobs, [&](std::size_t t) {
     const Stopwatch watch;
     trees_[first + t].fit_indices(data, columns, std::move(draws[t]));
-    ForestMetrics::get().tree_fit_us.record(
+    tree_fit_us().record(
         static_cast<std::uint64_t>(std::max<std::int64_t>(watch.elapsed_us(), 0)));
   });
 }
@@ -124,10 +112,7 @@ double RandomForest::predict_proba(const std::int8_t* row) const {
   double sum = 0.0;
   for (const DecisionTree& tree : trees_) {
     const auto [c0, c1] = tree.leaf_votes(row);
-    // A leaf with no recorded votes (possible in loaded forests) casts a
-    // neutral 0.5 instead of poisoning the average with 0/0 = NaN.
-    const std::uint64_t votes = c0 + c1;
-    sum += votes == 0 ? 0.5 : static_cast<double>(c1) / static_cast<double>(votes);
+    sum += soft_vote(c0, c1);
   }
   return sum / static_cast<double>(trees_.size());
 }
@@ -140,9 +125,7 @@ std::vector<double> RandomForest::predict_proba_batch(const std::int8_t* rows, s
                                                       std::size_t stride) const {
   CAML_ASSERT(!trees_.empty());
   CAML_TRACE_SPAN_ITEMS("predict", n);
-  ForestMetrics& metrics = ForestMetrics::get();
-  metrics.batch_rows.record(n);
-  metrics.rows_predicted.add(n);
+  record_forest_batch(n);
   // Tree-major: the outer loop visits each tree once and classifies all
   // rows through it, so a tree's node array stays cache-resident across
   // the whole batch. Per row the votes still accumulate in tree order,
@@ -151,8 +134,7 @@ std::vector<double> RandomForest::predict_proba_batch(const std::int8_t* rows, s
   for (const DecisionTree& tree : trees_) {
     for (std::size_t r = 0; r < n; ++r) {
       const auto [c0, c1] = tree.leaf_votes(rows + r * stride);
-      const std::uint64_t votes = c0 + c1;
-      sum[r] += votes == 0 ? 0.5 : static_cast<double>(c1) / static_cast<double>(votes);
+      sum[r] += soft_vote(c0, c1);
     }
   }
   for (double& s : sum) s /= static_cast<double>(trees_.size());
@@ -171,22 +153,26 @@ std::vector<double> RandomForest::predict_margin_batch(const std::int8_t* rows, 
                                                        std::size_t stride) const {
   CAML_ASSERT(!trees_.empty());
   // Tree-major like predict_proba_batch, but each tree casts a hard vote
-  // for its majority leaf class (tie or empty leaf: half a vote each
-  // way). Accumulation stays in tree order per row so the margin is the
-  // same double no matter how rows are batched.
+  // for its majority leaf class. Accumulation stays in tree order per
+  // row so the margin is the same double no matter how rows are batched.
   std::vector<double> vote1(n, 0.0);
   for (const DecisionTree& tree : trees_) {
     for (std::size_t r = 0; r < n; ++r) {
       const auto [c0, c1] = tree.leaf_votes(rows + r * stride);
-      vote1[r] += c1 > c0 ? 1.0 : (c1 == c0 ? 0.5 : 0.0);
+      vote1[r] += hard_vote(c0, c1);
     }
   }
-  std::vector<double> margin(n);
   const double trees = static_cast<double>(trees_.size());
-  for (std::size_t r = 0; r < n; ++r) {
-    margin[r] = std::abs(2.0 * vote1[r] / trees - 1.0);
-  }
-  return margin;
+  for (double& v : vote1) v = vote_margin(v, trees);
+  return vote1;
+}
+
+ProductVotes RandomForest::predict_product(const ProductView& product) const {
+  CAML_ASSERT(!trees_.empty());
+  CAML_TRACE_SPAN_ITEMS("predict", product.num_rows());
+  ProductWalk walk(product);
+  for (const DecisionTree& tree : trees_) walk.add_tree(tree.nodes());
+  return walk.finish(trees_.size());
 }
 
 std::vector<double> RandomForest::feature_importance() const {

@@ -77,6 +77,12 @@ class RandomForest : public Classifier {
   std::vector<double> predict_margin_batch(const std::int8_t* rows, std::size_t n,
                                            std::size_t stride) const override;
 
+  /// Factored walk over a stimulus × defect product (ml/forest_walk.hpp):
+  /// each tree is walked once instead of once per row, and the result is
+  /// bit-identical to predict_proba_batch / predict_margin_batch over
+  /// the materialized rows.
+  ProductVotes predict_product(const ProductView& product) const override;
+
   const std::vector<DecisionTree>& trees() const { return trees_; }
 
   /// Rebuilds a forest from already-constructed trees — the import path

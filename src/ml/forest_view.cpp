@@ -1,8 +1,6 @@
 #include "ml/forest_view.hpp"
 
-#include <cmath>
-
-#include "obs/metrics.hpp"
+#include "ml/forest_walk.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/sigguard.hpp"
@@ -11,40 +9,27 @@ namespace caml {
 
 namespace {
 
-/// Same inference counters forest.cpp feeds, so serve traffic on a
-/// mapped store shows up in the identical caml_forest_* metrics.
-struct MappedForestMetrics {
-  obs::Histogram& batch_rows;
-  obs::Counter& rows_predicted;
+/// Node accessor over one packed tree (see ml/forest_walk.hpp).
+struct PackedNodes {
+  const MappedForest::TreeRef& tree;
 
-  static MappedForestMetrics& get() {
-    static MappedForestMetrics m{
-        obs::Registry::global().histogram("caml_forest_batch_rows",
-                                          "Rows per predict_proba_batch call"),
-        obs::Registry::global().counter("caml_forest_rows_predicted_total",
-                                        "Rows classified across all batch predictions"),
-    };
-    return m;
+  PackedNode node(std::size_t i) const {
+    return decode_packed_node(tree.nodes + i * kPackedNodeBytes);
+  }
+  std::pair<std::uint64_t, std::uint64_t> votes(std::size_t i) const {
+    return {read_u64(tree.count0 + i * 8), read_u64(tree.count1 + i * 8)};
   }
 };
+
+std::pair<std::uint64_t, std::uint64_t> leaf_votes(const MappedForest::TreeRef& tree,
+                                                   const std::int8_t* row) {
+  return walk_row(PackedNodes{tree}, row);
+}
 
 }  // namespace
 
 void MappedForest::fit(const Dataset&) {
   throw Error("MappedForest is a read-only view over a mapped store and cannot be fitted");
-}
-
-std::pair<std::uint64_t, std::uint64_t> MappedForest::leaf_votes(const TreeRef& tree,
-                                                                 const std::int8_t* row) {
-  std::size_t at = 0;
-  for (;;) {
-    const PackedNode node = decode_packed_node(tree.nodes + at * kPackedNodeBytes);
-    if (node.is_leaf()) {
-      return {read_u64(tree.count0 + at * 8), read_u64(tree.count1 + at * 8)};
-    }
-    at = static_cast<std::size_t>(row[node.feature] <= node.threshold ? node.left
-                                                                      : node.right);
-  }
 }
 
 /// Every traversal of the raw mapping runs under a SIGBUS guard: if the
@@ -62,8 +47,7 @@ double MappedForest::predict_proba(const std::int8_t* row) const {
   io::with_sigbus_guard(kForestFault, [&] {
     for (const TreeRef& tree : trees_) {
       const auto [c0, c1] = leaf_votes(tree, row);
-      const std::uint64_t votes = c0 + c1;
-      sum += votes == 0 ? 0.5 : static_cast<double>(c1) / static_cast<double>(votes);
+      sum += soft_vote(c0, c1);
     }
   });
   return sum / static_cast<double>(trees_.size());
@@ -77,9 +61,7 @@ std::vector<double> MappedForest::predict_proba_batch(const std::int8_t* rows, s
                                                       std::size_t stride) const {
   CAML_ASSERT(!trees_.empty());
   CAML_TRACE_SPAN_ITEMS("predict", n);
-  MappedForestMetrics& metrics = MappedForestMetrics::get();
-  metrics.batch_rows.record(n);
-  metrics.rows_predicted.add(n);
+  record_forest_batch(n);
   // Tree-major sweep with votes accumulated per row in tree order — the
   // exact summation RandomForest::predict_proba_batch performs, so the
   // probabilities (and therefore the labels) are bit-identical.
@@ -88,8 +70,7 @@ std::vector<double> MappedForest::predict_proba_batch(const std::int8_t* rows, s
     for (const TreeRef& tree : trees_) {
       for (std::size_t r = 0; r < n; ++r) {
         const auto [c0, c1] = leaf_votes(tree, rows + r * stride);
-        const std::uint64_t votes = c0 + c1;
-        sum[r] += votes == 0 ? 0.5 : static_cast<double>(c1) / static_cast<double>(votes);
+        sum[r] += soft_vote(c0, c1);
       }
     }
   });
@@ -116,16 +97,23 @@ std::vector<double> MappedForest::predict_margin_batch(const std::int8_t* rows, 
     for (const TreeRef& tree : trees_) {
       for (std::size_t r = 0; r < n; ++r) {
         const auto [c0, c1] = leaf_votes(tree, rows + r * stride);
-        vote1[r] += c1 > c0 ? 1.0 : (c1 == c0 ? 0.5 : 0.0);
+        vote1[r] += hard_vote(c0, c1);
       }
     }
   });
-  std::vector<double> margin(n);
   const double trees = static_cast<double>(trees_.size());
-  for (std::size_t r = 0; r < n; ++r) {
-    margin[r] = std::abs(2.0 * vote1[r] / trees - 1.0);
-  }
-  return margin;
+  for (double& v : vote1) v = vote_margin(v, trees);
+  return vote1;
+}
+
+ProductVotes MappedForest::predict_product(const ProductView& product) const {
+  CAML_ASSERT(!trees_.empty());
+  CAML_TRACE_SPAN_ITEMS("predict", product.num_rows());
+  ProductWalk walk(product);  // every buffer allocated before the guard
+  io::with_sigbus_guard(kForestFault, [&] {
+    for (const TreeRef& tree : trees_) walk.add_tree(PackedNodes{tree});
+  });
+  return walk.finish(trees_.size());
 }
 
 }  // namespace caml

@@ -87,15 +87,15 @@ class MappedForest final : public Classifier {
   std::vector<double> predict_margin_batch(const std::int8_t* rows, std::size_t n,
                                            std::size_t stride) const override;
 
+  /// The factored walk RandomForest::predict_product runs, over the
+  /// packed nodes; bit-identical to it.
+  ProductVotes predict_product(const ProductView& product) const override;
+
   std::string name() const override { return "MappedForest"; }
 
   std::size_t num_trees() const { return trees_.size(); }
   std::size_t num_features() const { return num_features_; }
   const TreeRef& tree(std::size_t t) const { return trees_[t]; }
-
-  /// Leaf votes of one tree for one row (the traversal primitive).
-  static std::pair<std::uint64_t, std::uint64_t> leaf_votes(const TreeRef& tree,
-                                                            const std::int8_t* row);
 
  private:
   std::vector<TreeRef> trees_;

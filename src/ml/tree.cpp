@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "ml/forest_walk.hpp"
 #include "util/error.hpp"
 
 namespace caml {
@@ -25,6 +26,19 @@ std::vector<std::uint8_t> Classifier::predict_all(const Dataset& data) const {
 std::vector<double> Classifier::predict_margin_batch(const std::int8_t*, std::size_t n,
                                                      std::size_t) const {
   return std::vector<double>(n, 1.0);
+}
+
+std::vector<std::uint8_t> ProductVotes::labels() const {
+  std::vector<std::uint8_t> out(proba.size());
+  for (std::size_t r = 0; r < proba.size(); ++r) out[r] = proba[r] >= 0.5 ? 1 : 0;
+  return out;
+}
+
+ProductVotes Classifier::predict_product(const ProductView& product) const {
+  const std::size_t n = product.num_rows();
+  const std::vector<std::uint8_t> labels = predict_batch(product.rows, n, product.stride);
+  return ProductVotes{std::vector<double>(labels.begin(), labels.end()),
+                      predict_margin_batch(product.rows, n, product.stride)};
 }
 
 void DecisionTree::fit(const Dataset& data) {
@@ -203,12 +217,7 @@ std::uint8_t DecisionTree::predict(const std::int8_t* row) const {
 
 std::pair<std::uint64_t, std::uint64_t> DecisionTree::leaf_votes(const std::int8_t* row) const {
   CAML_ASSERT(!nodes_.empty());
-  std::size_t at = 0;
-  for (;;) {
-    const Node& node = nodes_[at];
-    if (node.is_leaf()) return {count0_[at], count1_[at]};
-    at = static_cast<std::size_t>(row[node.feature] <= node.threshold ? node.left : node.right);
-  }
+  return walk_row(nodes(), row);
 }
 
 std::size_t DecisionTree::depth() const {

@@ -91,6 +91,27 @@ class DecisionTree : public Classifier {
   };
   static_assert(sizeof(Node) == 16, "hot node record must stay 16 bytes");
 
+ public:
+  /// Node accessor of the shared traversal kernels (ml/forest_walk.hpp).
+  class Nodes {
+   public:
+    explicit Nodes(const DecisionTree& tree)
+        : nodes_(tree.nodes_.data()),
+          count0_(tree.count0_.data()),
+          count1_(tree.count1_.data()) {}
+    const Node& node(std::size_t i) const { return nodes_[i]; }
+    std::pair<std::uint64_t, std::uint64_t> votes(std::size_t i) const {
+      return {count0_[i], count1_[i]};
+    }
+
+   private:
+    const Node* nodes_;
+    const std::uint64_t* count0_;
+    const std::uint64_t* count1_;
+  };
+  Nodes nodes() const { return Nodes(*this); }
+
+ private:
   std::int32_t build(const Dataset& data, const ColumnView& columns,
                      std::vector<std::uint32_t>& indices, std::size_t begin, std::size_t end,
                      std::size_t depth);

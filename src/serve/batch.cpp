@@ -92,41 +92,19 @@ std::vector<PredictOutcome> answer_predict_batch(const ModelStore& store,
     }
   }
 
-  // Phase 2 — coalesced classification: concatenate the feature rows of
-  // every prepared item that routed to the same group model and sweep
-  // them through one predict_batch call. Rows are classified
-  // independently, so splitting the labels back per item reproduces the
-  // per-request result bit for bit.
+  // Phase 2 — classification: each prepared item walks its own
+  // stimulus × defect product, so its labels are the per-request answer
+  // by construction. Items are grouped by model so that a mapped-store
+  // fault fails exactly the requests of the model that faulted.
   std::map<const Classifier*, std::vector<std::size_t>> by_group;
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (items[i].prepared) by_group[items[i].classifier].push_back(i);
   }
+  std::vector<std::vector<std::uint8_t>> labels(items.size());
   for (const auto& [classifier, member_items] : by_group) {
-    std::size_t total_rows = 0;
-    std::size_t stride = 0;
-    for (const std::size_t i : member_items) {
-      const CaMatrix& matrix = items[i].prepared->matrix;
-      if (stride == 0) stride = matrix.num_features();
-      CAML_ASSERT(matrix.num_features() == stride);  // one group = one feature layout
-      total_rows += matrix.num_rows();
-    }
-    std::vector<std::uint8_t> labels;
     try {
-      if (total_rows > 0) {
-        if (member_items.size() == 1) {
-          // Single request for this group: classify its rows in place.
-          const CaMatrix& matrix = items[member_items.front()].prepared->matrix;
-          labels = classifier->predict_batch(matrix.features().data(), matrix.num_rows(),
-                                             stride);
-        } else {
-          std::vector<std::int8_t> rows;
-          rows.reserve(total_rows * stride);
-          for (const std::size_t i : member_items) {
-            const std::vector<std::int8_t>& f = items[i].prepared->matrix.features();
-            rows.insert(rows.end(), f.begin(), f.end());
-          }
-          labels = classifier->predict_batch(rows.data(), total_rows, stride);
-        }
+      for (const std::size_t i : member_items) {
+        labels[i] = classifier->predict_product(items[i].prepared->product()).labels();
       }
     } catch (const io::MappingFault& e) {
       // The mapped store faulted mid-traversal (file changed under the
@@ -143,14 +121,10 @@ std::vector<PredictOutcome> answer_predict_batch(const ModelStore& store,
       }
       continue;
     }
-    std::size_t offset = 0;
     for (const std::size_t i : member_items) {
       Item& item = items[i];
-      const std::size_t n = item.prepared->matrix.num_rows();
-      const std::uint8_t* item_labels = labels.data() + offset;
-      offset += n;  // advance even if finishing fails: later items keep their slice
       try {
-        const CaModel predicted = finish_prediction(std::move(*item.prepared), item_labels);
+        const CaModel predicted = finish_prediction(std::move(*item.prepared), labels[i].data());
         item.out.response.payload = ca_model_to_string(predicted, *item.cell);
         item.out.kind = PredictOutcome::Kind::kOk;
         item.out.rows_classified = predicted.defects.size() * predicted.stimuli.size();

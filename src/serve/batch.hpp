@@ -43,12 +43,10 @@ struct PredictOutcome {
 
 /// Answers a coalesced batch of PREDICT requests against one store
 /// snapshot: every request's cell is parsed and prepared independently
-/// (matrix build + golden simulation), then the feature rows of all
-/// requests that map to the same group model are concatenated and
-/// classified in a single Classifier::predict_batch sweep — the
-/// cross-connection batching the per-request serve path could never
-/// exploit. Per-row classification is independent, so the responses are
-/// byte-identical to answering each request alone (tested).
+/// (matrix build + golden simulation), then each is classified with one
+/// factored Classifier::predict_product walk, group model by group model.
+/// The responses are byte-identical to answering each request alone
+/// (tested); a mapped-store fault fails every request of its group.
 ///
 /// Never throws: malformed payloads, unknown groups and internal
 /// failures become structured kError responses for their own request

@@ -40,8 +40,7 @@ struct ServerOptions {
   std::size_t max_queue = 64;
   /// Requests coalesced into one compute batch: the reactor queues
   /// decoded PREDICT requests from all connections and a worker drains
-  /// up to max_batch of them at once into a single cross-connection
-  /// Classifier::predict_batch sweep per group model.
+  /// up to max_batch of them at once under one store snapshot.
   std::size_t max_batch = 32;
   /// Decoded PREDICT requests allowed to wait for the compute plane.
   /// Beyond it, requests are answered kOverloaded (the connection stays
@@ -87,9 +86,10 @@ struct ServerOptions {
 ///     responses still go out in request order.
 ///   * `jobs` ThreadPool workers form the compute plane: each drains up
 ///     to max_batch decoded PREDICT requests — coalesced across all
-///     connections — and answers them with one Classifier::predict_batch
-///     sweep per group model (see serve/batch.hpp). Finished frames are
-///     handed back to the reactor over a wakeup pipe.
+///     connections — and answers them with one factored
+///     Classifier::predict_product walk per request (see
+///     serve/batch.hpp). Finished frames are handed back to the reactor
+///     over a wakeup pipe.
 ///
 /// The wire protocol is byte-compatible with the thread-per-connection
 /// server this replaced; existing clients work unchanged.

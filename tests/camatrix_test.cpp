@@ -301,8 +301,10 @@ TEST(Matrix, UnlabeledMatrixOmitsFreeRows) {
   const Cell cell = make_nand2();
   const CanonicalCell canon = canonicalize(cell);
   const std::vector<Defect> defects = enumerate_defects(cell);
+  const std::vector<Stimulus> stimuli =
+      generate_stimuli(cell.num_inputs(), StimulusPolicy::kExhaustivePairs);
   const CaMatrix matrix =
-      build_unlabeled_matrix(cell, defects, StimulusPolicy::kExhaustivePairs, canon);
+      build_unlabeled_matrix(cell, defects, stimuli, simulate_golden(cell, stimuli), canon);
   EXPECT_FALSE(matrix.has_labels());
   EXPECT_EQ(matrix.num_rows(), defects.size() * 16u);
   for (std::size_t r = 0; r < matrix.num_rows(); ++r) {

@@ -21,6 +21,8 @@
 
 #include "camatrix/canonical.hpp"
 #include "camodel/model_io.hpp"
+#include "defect/universe.hpp"
+#include "flow/ml_flow.hpp"
 #include "flow/model_store.hpp"
 #include "ml/forest_view.hpp"
 #include "netlist/spice_parser.hpp"
@@ -242,6 +244,61 @@ TEST(BinaryStore, HexfloatProbaAndMarginParityAcrossJobCounts) {
       EXPECT_EQ(sharded(*view, jobs, margin_one), margins) << "jobs=" << jobs;
     }
   }
+}
+
+TEST(BinaryStore, FactoredProductMatchesRowWiseAcrossBackendsAndJobCounts) {
+  // Every group's real CA-matrices, classified by the factored
+  // predict_product on the trained, mapped and materialized forests,
+  // must reproduce the trained forest's row-wise proba and margin to the
+  // last bit, whether the cells are classified inline or on 4 workers.
+  const MappedModelStore mapped = MappedModelStore::open(shared_binary_path());
+  const GroupModelStore materialized = mapped.materialize();
+  const Technology tech = technology_28soi();
+  std::vector<PreparedPrediction> prepared;
+  std::uint64_t seed = 20;
+  for (const char* function : {"NAND2", "NAND3"}) {
+    for (int copy = 0; copy < 2; ++copy) {
+      const Cell cell = build_function(function, tech, {1, StructureVariant::kWide}, ++seed).cell;
+      prepared.push_back(prepare_prediction(cell, canonicalize(cell),
+                                            StimulusPolicy::kExhaustivePairs, SimConfig{},
+                                            shared_store().matrix_options(),
+                                            enumerate_defects(cell)));
+    }
+  }
+  std::size_t checked = 0;
+  for (const GroupKey& key : shared_store().group_keys()) {
+    const RandomForest* trained = shared_store().forest_for(key);
+    ASSERT_NE(trained, nullptr);
+    std::vector<const PreparedPrediction*> members;
+    std::string expected;
+    for (const PreparedPrediction& p : prepared) {
+      const CaMatrix& m = p.matrix;
+      if (m.num_features() != trained->num_features()) continue;
+      members.push_back(&p);
+      expected += hexfloat_probas(
+          trained->predict_proba_batch(m.features().data(), m.num_rows(), m.num_features()));
+      expected += hexfloat_probas(
+          trained->predict_margin_batch(m.features().data(), m.num_rows(), m.num_features()));
+    }
+    ASSERT_FALSE(members.empty());
+    const auto factored = [&](const Classifier& c, std::size_t jobs) {
+      std::string out;
+      for (const ProductVotes& v : parallel_map(members, jobs, [&](const PreparedPrediction* p) {
+             return c.predict_product(p->product());
+           })) {
+        out += hexfloat_probas(v.proba) + hexfloat_probas(v.margin);
+      }
+      return out;
+    };
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      EXPECT_EQ(factored(*trained, jobs), expected) << "trained, jobs=" << jobs;
+      EXPECT_EQ(factored(*mapped.classifier_for(key), jobs), expected) << "mapped, jobs=" << jobs;
+      EXPECT_EQ(factored(*materialized.classifier_for(key), jobs), expected)
+          << "materialized, jobs=" << jobs;
+    }
+    checked += members.size();
+  }
+  EXPECT_EQ(checked, prepared.size()) << "every prepared cell belongs to a stored group";
 }
 
 TEST(BinaryStore, PredictedModelsIdenticalAcrossBackendsAndJobCounts) {
@@ -570,6 +627,11 @@ TEST(BinaryStore, TruncationUnderMappingFaultsStructurally) {
   EXPECT_FALSE(mapped.healthy()) << "size revalidation must flag the truncation";
   EXPECT_THROW(view->predict_proba_batch(rows.data(), 64, features), io::MappingFault)
       << "SIGBUS must surface as a structured fault, not kill the process";
+  // The factored walk runs under the same guard (as an 8 × 8 product of
+  // the same rows: stimulus s from row s, defect d from row 8·d).
+  const ProductView product{rows.data(), features, features / 2, 8, 8};
+  EXPECT_THROW(view->predict_product(product), io::MappingFault)
+      << "SIGBUS in the factored walk must surface as a structured fault";
 }
 
 TEST(BinaryStore, ServerRecoversFromStoreFaultViaRefresh) {

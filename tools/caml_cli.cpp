@@ -159,8 +159,8 @@ struct Args {
       "accepted-connection backlog; beyond it clients get an OVERLOADED\n"
       "reject with a retry-after hint instead of unbounded queueing.\n"
       "--max-batch caps how many decoded PREDICT requests one compute\n"
-      "worker coalesces (across connections) into a single\n"
-      "predict_batch sweep (default 32; 1 = per-request compute).\n"
+      "worker coalesces (across connections) into one compute batch\n"
+      "(default 32; 1 = per-request compute).\n"
       "--shed-target-ms: latency-aware load shedding — when the queue's\n"
       "recent p99 sojourn exceeds the target, new PREDICTs are rejected\n"
       "OVERLOADED before queueing (default 1000; 0 disables). Requests\n"
