@@ -31,10 +31,10 @@ CharacterizedCell strip_renaming(const CharacterizedCell& cell) {
   for (std::size_t ti = 0; ti < c.num_transistors(); ++ti) {
     const auto id = static_cast<TransistorId>(ti);
     if (c.transistor(id).type == MosType::kNmos) {
-      canon.canonical_name[ti] = "N" + std::to_string(canon.nmos_order.size());
+      canon.canonical_name[ti] = std::string("N").append(std::to_string(canon.nmos_order.size()));
       canon.nmos_order.push_back(id);
     } else {
-      canon.canonical_name[ti] = "P" + std::to_string(canon.pmos_order.size());
+      canon.canonical_name[ti] = std::string("P").append(std::to_string(canon.pmos_order.size()));
       canon.pmos_order.push_back(id);
     }
   }

@@ -78,7 +78,7 @@ DecisionTree make_synthetic_tree(std::size_t depth, std::size_t num_features,
       r.count1 = (i * 17 + salt) % 89;
     }
   }
-  return DecisionTree::from_records(records);
+  return DecisionTree::from_records(records, num_features);
 }
 
 GroupModelStore make_synthetic_store(std::size_t tree_depth) {

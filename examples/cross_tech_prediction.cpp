@@ -20,14 +20,15 @@ int main() {
   std::cout << "characterizing the 28SOI training cells (simulation-based)...\n";
   std::vector<CharacterizedCell> train;
   Rng rng(2024);
-  for (const std::string& function : {"NAND2", "NOR2"}) {
-    for (const FlavorSpec flavor : {FlavorSpec{"", 1.0}, FlavorSpec{"LP", 0.85},
+  for (const char* function : {"NAND2", "NOR2"}) {
+    for (const FlavorSpec& flavor : {FlavorSpec{"", 1.0}, FlavorSpec{"LP", 0.85},
                                     FlavorSpec{"HP", 1.1}}) {
       Rng cell_rng = rng.fork();
       LibraryCell lc;
+      const std::string name =
+          std::string(function) + "X1" + (flavor.suffix.empty() ? "" : "_" + flavor.suffix);
       lc.cell = build_cell(find_function(function), soi, {1, StructureVariant::kWide}, flavor,
-                           function + "X1" + (flavor.suffix.empty() ? "" : "_" + flavor.suffix),
-                           cell_rng);
+                           name, cell_rng);
       lc.function = function;
       lc.technology = soi.name;
       train.push_back(characterize_cell(lc, soi, copt));

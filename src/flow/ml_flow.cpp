@@ -1,5 +1,7 @@
 #include "flow/ml_flow.hpp"
 
+#include <algorithm>
+
 #include "defect/universe.hpp"
 #include "obs/trace.hpp"
 #include "sim/evaluator.hpp"
@@ -13,6 +15,19 @@ std::unique_ptr<Classifier> MlOptions::new_classifier() const {
   return std::make_unique<RandomForest>(forest);
 }
 
+namespace {
+
+/// Upper bound on the training rows a cell contributes: one CA-matrix
+/// row per (stimulus, defect) pair plus the defect-free rows, capped by
+/// the per-cell sample.
+std::size_t training_rows_bound(const CharacterizedCell& cell, const MlOptions& options) {
+  const std::size_t rows = cell.model.stimuli.size() * (cell.model.defects.size() + 1);
+  return options.max_train_rows_per_cell == 0 ? rows
+                                              : std::min(rows, options.max_train_rows_per_cell);
+}
+
+}  // namespace
+
 Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_cells,
                            const MlOptions& options) {
   CAML_TRACE_SPAN_ITEMS("matrix_build", train_cells.size());
@@ -21,22 +36,31 @@ Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_ce
   const std::size_t features =
       matrix_feature_count(first.num_inputs(), first.num_transistors(), options.matrix);
   Dataset data(features);
+  // Size the dedup index for every input row up front so merging the
+  // group's matrices never rehashes.
+  std::size_t input_rows = 0;
+  for (const CharacterizedCell* cell : train_cells) {
+    input_rows += training_rows_bound(*cell, options);
+  }
+  data.reserve_deduplicated(input_rows);
   Rng rng(options.seed);
   for (const CharacterizedCell* cell : train_cells) {
     CAML_ASSERT(cell->num_inputs() == first.num_inputs());
     CAML_ASSERT(cell->num_transistors() == first.num_transistors());
     const CaMatrix matrix = build_ca_matrix(cell->source.cell, cell->model, cell->canonical,
                                             cell->sim, options.matrix);
-    Dataset cell_data(features);
-    cell_data.reserve(matrix.num_rows());
-    for (std::size_t r = 0; r < matrix.num_rows(); ++r) {
-      cell_data.add_row(matrix.row(r), matrix.labels()[r]);
-    }
     if (options.max_train_rows_per_cell == 0) {
       // Exact full-data training: identical rows (from structurally
-      // identical sibling cells) merge into one weighted row.
-      data.add_deduplicated(cell_data);
+      // identical sibling cells) merge into one weighted row, read
+      // straight from the matrix.
+      data.add_deduplicated(matrix.features().data(), matrix.labels().data(),
+                            matrix.num_rows());
     } else {
+      Dataset cell_data(features);
+      cell_data.reserve(matrix.num_rows());
+      for (std::size_t r = 0; r < matrix.num_rows(); ++r) {
+        cell_data.add_row(matrix.row(r), matrix.labels()[r]);
+      }
       Dataset sampled(features);
       sampled.add_sampled(cell_data, options.max_train_rows_per_cell, rng);
       data.add_deduplicated(sampled);
@@ -171,6 +195,9 @@ std::vector<CellEvaluation> evaluate_leave_one_out(const std::vector<Characteriz
     std::vector<Dataset> cell_sets;
     cell_sets.reserve(members.size());
     Dataset master(features);
+    std::size_t input_rows = 0;
+    for (std::size_t m : members) input_rows += training_rows_bound(cells[m], options);
+    master.reserve_deduplicated(input_rows);
     Rng rng(options.seed);
     for (std::size_t m : members) {
       const CharacterizedCell& cell = cells[m];

@@ -67,15 +67,34 @@ void RandomForest::grow(const Dataset& data, std::size_t count, std::uint64_t se
     }
     trees_.emplace_back(tp, rng.next());
   }
-  // One column-major transpose shared by every tree: the histogram fill
-  // of the split search walks contiguous feature columns instead of
-  // strided rows, and re-transposing per tree would waste the win.
-  const ColumnView columns(data);
-  // Trees only read the shared dataset/columns and mutate their own
-  // state, so the fits are independent.
+  // One column-major transpose shared by every tree, over only the rows
+  // some tree drew: the histogram fill of the split search walks
+  // contiguous feature columns instead of strided rows, and capped trees
+  // never pay for the rows no tree samples. Each tree's draw is remapped
+  // to view rows; its order is kept, so the fit is unchanged.
+  const ColumnView columns = [&] {
+    if (!params_.bootstrap && sample == data.num_rows()) return ColumnView(data);
+    constexpr std::uint32_t kUndrawn = ~std::uint32_t{0};
+    std::vector<std::uint32_t> position(data.num_rows(), kUndrawn);
+    for (const std::vector<std::uint32_t>& indices : draws) {
+      for (const std::uint32_t i : indices) position[i] = 0;
+    }
+    std::vector<std::uint32_t> rows;
+    for (std::size_t r = 0; r < position.size(); ++r) {
+      if (position[r] == kUndrawn) continue;
+      position[r] = static_cast<std::uint32_t>(rows.size());
+      rows.push_back(static_cast<std::uint32_t>(r));
+    }
+    for (std::vector<std::uint32_t>& indices : draws) {
+      for (std::uint32_t& i : indices) i = position[i];
+    }
+    return ColumnView(data, rows);
+  }();
+  // Trees only read the shared columns and mutate their own state, so
+  // the fits are independent.
   parallel_for(count, params_.jobs, [&](std::size_t t) {
     const Stopwatch watch;
-    trees_[first + t].fit_indices(data, columns, std::move(draws[t]));
+    trees_[first + t].fit_indices(columns, std::move(draws[t]));
     tree_fit_us().record(
         static_cast<std::uint64_t>(std::max<std::int64_t>(watch.elapsed_us(), 0)));
   });

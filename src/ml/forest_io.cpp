@@ -9,6 +9,26 @@
 
 namespace caml {
 
+namespace {
+
+/// Structural rules shared by every tree loader (the binary store's full
+/// verify applies the same): children lie inside the tree, an internal
+/// node has both children strictly after itself — so every walk ends at
+/// a leaf — and splits on a feature the forest was trained with.
+/// Returns the violation, or nullptr for a valid node.
+const char* node_violation(std::size_t index, std::int32_t left, std::int32_t right,
+                           std::uint16_t feature, std::size_t count, std::size_t num_features) {
+  const auto max = static_cast<std::int64_t>(count);
+  if (left >= max || right >= max) return "tree node child out of range";
+  if (left < 0) return nullptr;  // leaf
+  const auto self = static_cast<std::int64_t>(index);
+  if (left <= self || right <= self) return "tree node child does not point forward";
+  if (feature >= num_features) return "tree node feature index out of range";
+  return nullptr;
+}
+
+}  // namespace
+
 void DecisionTree::save(std::ostream& os) const {
   os << "TREE nodes=" << nodes_.size() << '\n';
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -18,7 +38,8 @@ void DecisionTree::save(std::ostream& os) const {
   }
 }
 
-DecisionTree DecisionTree::load(std::istream& in, std::size_t& line_no) {
+DecisionTree DecisionTree::load(std::istream& in, std::size_t& line_no,
+                                std::size_t num_features) {
   std::string line;
   if (!std::getline(in, line)) throw ParseError("expected TREE header", line_no);
   ++line_no;
@@ -42,9 +63,9 @@ DecisionTree DecisionTree::load(std::istream& in, std::size_t& line_no) {
     n.right = static_cast<std::int32_t>(parse_int64(tok[1], "tree node right child", line_no));
     n.feature = static_cast<std::uint16_t>(parse_uint64(tok[2], "tree node feature", line_no));
     n.threshold = static_cast<std::int8_t>(parse_int64(tok[3], "tree node threshold", line_no));
-    const auto max = static_cast<std::int32_t>(count);
-    if (n.left >= max || n.right >= max) {
-      throw ParseError("tree node child out of range", line_no);
+    if (const char* violation =
+            node_violation(i, n.left, n.right, n.feature, count, num_features)) {
+      throw ParseError(violation, line_no);
     }
     tree.nodes_.push_back(n);
     tree.count0_.push_back(parse_uint64(tok[4], "tree node count0", line_no));
@@ -60,16 +81,18 @@ DecisionTree::NodeRecord DecisionTree::node_record(std::size_t i) const {
   return NodeRecord{n.left, n.right, n.feature, n.threshold, count0_[i], count1_[i]};
 }
 
-DecisionTree DecisionTree::from_records(const std::vector<NodeRecord>& records) {
+DecisionTree DecisionTree::from_records(const std::vector<NodeRecord>& records,
+                                        std::size_t num_features) {
   if (records.empty()) throw ParseError("empty tree", 0);
   DecisionTree tree;
   tree.nodes_.reserve(records.size());
   tree.count0_.reserve(records.size());
   tree.count1_.reserve(records.size());
-  const auto max = static_cast<std::int32_t>(records.size());
-  for (const NodeRecord& r : records) {
-    if (r.left >= max || r.right >= max) {
-      throw ParseError("tree node child out of range", 0);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const NodeRecord& r = records[i];
+    if (const char* violation =
+            node_violation(i, r.left, r.right, r.feature, records.size(), num_features)) {
+      throw ParseError(violation, 0);
     }
     Node n;
     n.left = r.left;
@@ -105,7 +128,7 @@ LoadedForest read_forest(std::istream& in) {
   out.num_features = parse_size(head[2].substr(9), "FOREST feature count", line_no);
   out.forest.num_features_ = out.num_features;
   for (std::size_t t = 0; t < trees; ++t) {
-    out.forest.trees_.push_back(DecisionTree::load(in, line_no));
+    out.forest.trees_.push_back(DecisionTree::load(in, line_no, out.num_features));
   }
   if (!std::getline(in, line) || trim(line) != "ENDFOREST") {
     throw ParseError("missing ENDFOREST", line_no);

@@ -44,28 +44,21 @@ ProductVotes Classifier::predict_product(const ProductView& product) const {
 void DecisionTree::fit(const Dataset& data) {
   std::vector<std::uint32_t> indices(data.num_rows());
   std::iota(indices.begin(), indices.end(), 0u);
-  fit_indices(data, std::move(indices));
+  fit_indices(ColumnView(data), std::move(indices));
 }
 
-void DecisionTree::fit_indices(const Dataset& data, std::vector<std::uint32_t> indices) {
-  const ColumnView columns(data);
-  fit_indices(data, columns, std::move(indices));
-}
-
-void DecisionTree::fit_indices(const Dataset& data, const ColumnView& columns,
-                               std::vector<std::uint32_t> indices) {
+void DecisionTree::fit_indices(const ColumnView& columns, std::vector<std::uint32_t> indices) {
   CAML_ASSERT(!indices.empty());
-  CAML_ASSERT(columns.num_rows() == data.num_rows() &&
-              columns.num_features() == data.num_features());
   nodes_.clear();
   count0_.clear();
   count1_.clear();
-  num_features_ = data.num_features();
+  num_features_ = columns.num_features();
   importance_.assign(num_features_, 0.0);
-  const auto [lo, hi] = data.feature_range();
-  min_value_ = lo;
-  max_value_ = hi;
-  const std::size_t buckets = static_cast<std::size_t>(max_value_ - min_value_) + 1;
+  // The view's value range bounds every row the tree reads. A threshold
+  // outside the tree's own rows leaves one side empty and is skipped, so
+  // a wider range (a view over more rows) visits the same candidates.
+  min_value_ = columns.min_value();
+  const std::size_t buckets = static_cast<std::size_t>(columns.max_value() - min_value_) + 1;
   feature_order_.resize(num_features_);
   // Invariant across build() nodes: the histograms are all-zero on entry
   // to every split search — each search clears exactly the buckets it
@@ -73,7 +66,7 @@ void DecisionTree::fit_indices(const Dataset& data, const ColumnView& columns,
   hist0_.assign(buckets, 0u);
   hist1_.assign(buckets, 0u);
   touched_.reserve(buckets);
-  build(data, columns, indices, 0, indices.size(), 0);
+  build(columns, indices, 0, indices.size(), 0);
   double total = 0.0;
   for (double v : importance_) total += v;
   if (total > 0.0) {
@@ -81,13 +74,12 @@ void DecisionTree::fit_indices(const Dataset& data, const ColumnView& columns,
   }
 }
 
-std::int32_t DecisionTree::build(const Dataset& data, const ColumnView& columns,
-                                 std::vector<std::uint32_t>& indices, std::size_t begin,
-                                 std::size_t end, std::size_t depth) {
+std::int32_t DecisionTree::build(const ColumnView& columns, std::vector<std::uint32_t>& indices,
+                                 std::size_t begin, std::size_t end, std::size_t depth) {
   std::uint64_t node_count0 = 0, node_count1 = 0;
   for (std::size_t i = begin; i < end; ++i) {
-    const std::uint32_t w = data.weight(indices[i]);
-    if (data.label(indices[i])) node_count1 += w;
+    const std::uint32_t w = columns.weight(indices[i]);
+    if (columns.label(indices[i])) node_count1 += w;
     else node_count0 += w;
   }
   const std::uint64_t n = node_count0 + node_count1;
@@ -141,8 +133,8 @@ std::int32_t DecisionTree::build(const Dataset& data, const ColumnView& columns,
       const std::uint32_t r = indices[i];
       const std::size_t b = static_cast<std::size_t>(col[r] - min_value_);
       if ((hist0[b] | hist1[b]) == 0) touched_.push_back(static_cast<std::uint32_t>(b));
-      const std::uint32_t w = data.weight(r);
-      if (data.label(r)) hist1[b] += w;
+      const std::uint32_t w = columns.weight(r);
+      if (columns.label(r)) hist1[b] += w;
       else hist0[b] += w;
     }
     // Prefix scan: threshold after bucket b sends values <= b left.
@@ -203,9 +195,9 @@ std::int32_t DecisionTree::build(const Dataset& data, const ColumnView& columns,
 
   nodes_[static_cast<std::size_t>(id)].feature = best_feature;
   nodes_[static_cast<std::size_t>(id)].threshold = best_threshold;
-  const std::int32_t left = build(data, columns, indices, begin, mid, depth + 1);
+  const std::int32_t left = build(columns, indices, begin, mid, depth + 1);
   nodes_[static_cast<std::size_t>(id)].left = left;
-  const std::int32_t right = build(data, columns, indices, mid, end, depth + 1);
+  const std::int32_t right = build(columns, indices, mid, end, depth + 1);
   nodes_[static_cast<std::size_t>(id)].right = right;
   return id;
 }

@@ -29,15 +29,11 @@ class DecisionTree : public Classifier {
 
   void fit(const Dataset& data) override;
 
-  /// Fit on a subset of rows (bootstrap sample from the forest). Builds
-  /// a column-major transpose of the data internally.
-  void fit_indices(const Dataset& data, std::vector<std::uint32_t> indices);
-
-  /// As above, but reusing a caller-provided column-major view of the
-  /// same dataset (RandomForest::fit builds one and shares it across all
-  /// trees instead of re-transposing per tree).
-  void fit_indices(const Dataset& data, const ColumnView& columns,
-                   std::vector<std::uint32_t> indices);
+  /// Fit on a subset of the rows of a column-major view (the forest's
+  /// per-tree sample; `indices` are view rows and may repeat). Labels,
+  /// weights and the feature value range all come from the view, which
+  /// RandomForest::fit builds once and shares across all trees.
+  void fit_indices(const ColumnView& columns, std::vector<std::uint32_t> indices);
 
   std::uint8_t predict(const std::int8_t* row) const override;
   std::string name() const override { return "DecisionTree"; }
@@ -50,7 +46,11 @@ class DecisionTree : public Classifier {
 
   /// Flat-node serialization used by the forest I/O (ml/forest_io.hpp).
   void save(std::ostream& os) const;
-  static DecisionTree load(std::istream& in, std::size_t& line_no);
+  /// load() and from_records() reject (caml::ParseError) an empty tree,
+  /// a child index outside the tree, an internal node whose children do
+  /// not both come after it (a cycle or a missing child would hang or
+  /// crash traversal) and a split feature >= num_features.
+  static DecisionTree load(std::istream& in, std::size_t& line_no, std::size_t num_features);
 
   /// One flat node in serialization order — exactly the six fields the
   /// text format carries, so every store format (text lines, packed
@@ -65,10 +65,10 @@ class DecisionTree : public Classifier {
   };
   NodeRecord node_record(std::size_t i) const;
 
-  /// Rebuilds a tree from flat records (the binary-store import path).
-  /// Applies the same structural checks as the text loader: non-empty,
-  /// children in range. Throws caml::ParseError on violation.
-  static DecisionTree from_records(const std::vector<NodeRecord>& records);
+  /// Rebuilds a tree from flat records (the binary-store import path),
+  /// with the same structural checks as the text loader.
+  static DecisionTree from_records(const std::vector<NodeRecord>& records,
+                                   std::size_t num_features);
 
   /// Gini importance per feature (weighted impurity decrease summed over
   /// this tree's splits, normalized to sum 1; all-zero when the tree is
@@ -112,9 +112,8 @@ class DecisionTree : public Classifier {
   Nodes nodes() const { return Nodes(*this); }
 
  private:
-  std::int32_t build(const Dataset& data, const ColumnView& columns,
-                     std::vector<std::uint32_t>& indices, std::size_t begin, std::size_t end,
-                     std::size_t depth);
+  std::int32_t build(const ColumnView& columns, std::vector<std::uint32_t>& indices,
+                     std::size_t begin, std::size_t end, std::size_t depth);
 
   TreeParams params_;
   Rng rng_;
@@ -129,8 +128,7 @@ class DecisionTree : public Classifier {
   std::vector<std::uint64_t> hist1_;
   std::vector<std::uint32_t> touched_;  ///< histogram buckets to clear
   std::size_t num_features_ = 0;
-  std::int8_t min_value_ = 0;
-  std::int8_t max_value_ = 0;
+  std::int8_t min_value_ = 0;  ///< of the view being fitted; never persisted
 };
 
 }  // namespace caml

@@ -442,7 +442,7 @@ GroupModelStore MappedModelStore::materialize() const {
         records[i].count0 = read_u64(ref.count0 + i * 8);
         records[i].count1 = read_u64(ref.count1 + i * 8);
       }
-      trees.push_back(DecisionTree::from_records(records));
+      trees.push_back(DecisionTree::from_records(records, view.num_features()));
     }
     models.emplace(keys_[g], RandomForest::assemble(std::move(trees), view.num_features()));
   }

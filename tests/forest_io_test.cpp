@@ -78,6 +78,55 @@ TEST(ForestIo, RejectsZeroTreeForest) {
   EXPECT_THROW(read_forest(empty), ParseError);
 }
 
+// Structural rules of the binary store's full verify, applied by both
+// tree loaders: a node whose child points back at itself or an ancestor
+// would send predict() round a cycle forever, so it must fail to load.
+TEST(ForestIo, RejectsTreesThatDoNotPointForward) {
+  const auto forest_text = [](const std::string& nodes, std::size_t count) {
+    return "FOREST trees=1 features=3\nTREE nodes=" + std::to_string(count) + "\n" + nodes +
+           "ENDFOREST\n";
+  };
+  const std::string leaves = "-1 -1 0 0 1 0\n-1 -1 0 0 0 1\n";
+  std::istringstream valid(forest_text("1 2 2 0 1 1\n" + leaves, 3));
+  EXPECT_NO_THROW(read_forest(valid));
+  std::istringstream self_loop(forest_text("0 2 2 0 1 1\n" + leaves, 3));
+  EXPECT_THROW(read_forest(self_loop), ParseError);
+  std::istringstream back_edge(forest_text("1 2 2 0 1 1\n0 2 1 0 1 0\n-1 -1 0 0 0 1\n", 3));
+  EXPECT_THROW(read_forest(back_edge), ParseError);
+  std::istringstream one_child(forest_text("1 -1 2 0 1 1\n" + leaves, 3));
+  EXPECT_THROW(read_forest(one_child), ParseError);
+  std::istringstream bad_feature(forest_text("1 2 3 0 1 1\n" + leaves, 3));
+  EXPECT_THROW(read_forest(bad_feature), ParseError);
+
+  using Record = DecisionTree::NodeRecord;
+  const Record leaf{-1, -1, 0, 0, 1, 0};
+  EXPECT_NO_THROW(DecisionTree::from_records({Record{1, 2, 2, 0, 1, 1}, leaf, leaf}, 3));
+  EXPECT_THROW(DecisionTree::from_records({Record{0, 2, 2, 0, 1, 1}, leaf, leaf}, 3),
+               ParseError);
+  EXPECT_THROW(DecisionTree::from_records({Record{1, -1, 2, 0, 1, 1}, leaf, leaf}, 3),
+               ParseError);
+  EXPECT_THROW(DecisionTree::from_records({Record{1, 2, 3, 0, 1, 1}, leaf, leaf}, 3),
+               ParseError);
+}
+
+// The reported case: a trained store whose first root is edited to
+// `left=0` used to load and then hang the first prediction.
+TEST(ForestIo, SelfLoopInTrainedForestFailsToLoad) {
+  Rng rng(35);
+  const Dataset train = make_data(400, rng);
+  ForestParams params;
+  params.num_trees = 2;
+  RandomForest forest(params);
+  forest.fit(train);
+  std::ostringstream os;
+  write_forest(os, forest, train.num_features());
+  const std::string text = os.str();
+  const std::size_t root = text.find('\n', text.find("TREE nodes=")) + 1;
+  ASSERT_NE(text.compare(root, 2, "-1"), 0) << "first tree must have split";
+  std::istringstream in(text.substr(0, root).append("0").append(text, text.find(' ', root)));
+  EXPECT_THROW(read_forest(in), ParseError);
+}
+
 TEST(ForestIo, NumFeaturesTrackedAtFit) {
   Rng rng(33);
   const Dataset train = make_data(100, rng);

@@ -82,7 +82,9 @@ struct TwoBackends {
 
   TwoBackends(const std::vector<Records>& trees, std::size_t features) {
     std::vector<DecisionTree> built;
-    for (const Records& records : trees) built.push_back(DecisionTree::from_records(records));
+    for (const Records& records : trees) {
+      built.push_back(DecisionTree::from_records(records, features));
+    }
     forest = RandomForest::assemble(std::move(built), features);
     for (const Records& records : trees) {
       std::vector<unsigned char> nodes(records.size() * kPackedNodeBytes);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
 #include <sstream>
 
 #include "ml/dataset.hpp"
@@ -53,7 +55,6 @@ TEST(Dataset, AddRowAndAccessors) {
   EXPECT_EQ(data.row(0)[1], -2);
   EXPECT_EQ(data.label(0), 1);
   EXPECT_EQ(data.num_positive(), 1u);
-  EXPECT_EQ(data.feature_range(), (std::pair<std::int8_t, std::int8_t>{-2, 3}));
 }
 
 TEST(Dataset, SampledPreservesClassPresence) {
@@ -459,6 +460,253 @@ TEST(Dataset, SubtractDeduplicatedRejectsUnknownRows) {
   const std::int8_t b[] = {2};
   stranger.add_row(b, 0);
   EXPECT_THROW(master.subtract_deduplicated(stranger), Error);
+}
+
+// Reference deduplication over an ordered map: first-occurrence row
+// order, summed weights, (features, label) keys.
+struct DedupOracle {
+  using Key = std::pair<std::vector<std::int8_t>, std::uint8_t>;
+  std::map<Key, std::size_t> index;
+  std::vector<Key> rows;
+  std::vector<std::uint32_t> weights;
+
+  void add(const std::int8_t* row, std::size_t features, std::uint8_t label,
+           std::uint32_t weight) {
+    Key key{std::vector<std::int8_t>(row, row + features), label};
+    const auto [it, inserted] = index.try_emplace(key, rows.size());
+    if (inserted) {
+      rows.push_back(std::move(key));
+      weights.push_back(weight);
+    } else {
+      weights[it->second] += weight;
+    }
+  }
+};
+
+void expect_matches_oracle(const Dataset& data, const std::vector<DedupOracle::Key>& rows,
+                           const std::vector<std::uint32_t>& weights) {
+  ASSERT_EQ(data.num_rows(), rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    ASSERT_EQ(std::vector<std::int8_t>(data.row(r), data.row(r) + data.num_features()),
+              rows[r].first)
+        << "row " << r;
+    ASSERT_EQ(data.label(r), rows[r].second) << "row " << r;
+    ASSERT_EQ(data.weight(r), weights[r]) << "row " << r;
+  }
+}
+
+TEST(Dataset, DeduplicationIndexMatchesMapOracle) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // Widths below 8, at 8 and between multiples of 8 (the hash reads
+    // 8-byte words plus a zero-padded tail); a narrow value range so
+    // repeats, and equal rows under both labels, are common.
+    const std::size_t features = 1 + rng.below(20);
+    const std::int64_t span = static_cast<std::int64_t>(1 + rng.below(3));
+    const auto random_part = [&](std::size_t rows, bool weighted) {
+      Dataset part(features);
+      std::vector<std::int8_t> row(features);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (auto& v : row) v = static_cast<std::int8_t>(rng.range(-span, span));
+        part.add_row(row.data(), static_cast<std::uint8_t>(rng.below(2)),
+                     weighted ? static_cast<std::uint32_t>(1 + rng.below(3)) : 1u);
+      }
+      return part;
+    };
+
+    Dataset data(features);
+    if (rng.chance(0.5)) data.reserve_deduplicated(rng.below(400));
+    DedupOracle oracle;
+    std::vector<Dataset> parts;
+    for (int p = 0; p < 4; ++p) {
+      parts.push_back(random_part(rng.below(150), p % 2 == 0));
+      const Dataset& part = parts.back();
+      for (std::size_t r = 0; r < part.num_rows(); ++r) {
+        oracle.add(part.row(r), features, part.label(r), part.weight(r));
+      }
+      if (p % 2 == 1) {
+        // Weight-1 rows straight from a row-major buffer.
+        std::vector<std::int8_t> buffer;
+        for (std::size_t r = 0; r < part.num_rows(); ++r) {
+          buffer.insert(buffer.end(), part.row(r), part.row(r) + features);
+        }
+        data.add_deduplicated(buffer.data(), part.labels().data(), part.num_rows());
+        Dataset via_dataset(features);
+        via_dataset.add_deduplicated(part);
+        Dataset via_buffer(features);
+        via_buffer.add_deduplicated(buffer.data(), part.labels().data(), part.num_rows());
+        DedupOracle one;
+        for (std::size_t r = 0; r < part.num_rows(); ++r) {
+          one.add(part.row(r), features, part.label(r), 1);
+        }
+        expect_matches_oracle(via_dataset, one.rows, one.weights);
+        expect_matches_oracle(via_buffer, one.rows, one.weights);
+      } else {
+        data.add_deduplicated(part);
+      }
+      expect_matches_oracle(data, oracle.rows, oracle.weights);
+    }
+
+    // subtract_deduplicated: remaining weights in master order, rows at
+    // zero omitted.
+    const Dataset& held = parts[rng.below(parts.size())];
+    std::vector<std::uint32_t> remaining = oracle.weights;
+    for (std::size_t r = 0; r < held.num_rows(); ++r) {
+      const DedupOracle::Key key{
+          std::vector<std::int8_t>(held.row(r), held.row(r) + features), held.label(r)};
+      remaining[oracle.index.at(key)] -= held.weight(r);
+    }
+    std::vector<DedupOracle::Key> kept_rows;
+    std::vector<std::uint32_t> kept_weights;
+    for (std::size_t r = 0; r < remaining.size(); ++r) {
+      if (remaining[r] == 0) continue;
+      kept_rows.push_back(oracle.rows[r]);
+      kept_weights.push_back(remaining[r]);
+    }
+    expect_matches_oracle(data.subtract_deduplicated(held), kept_rows, kept_weights);
+
+    // A row outside the value range is absent; a present row asks for
+    // one more than its weight.
+    Dataset stranger(features);
+    std::vector<std::int8_t> outside(features, static_cast<std::int8_t>(span + 1));
+    stranger.add_row(outside.data(), 0);
+    EXPECT_THROW(data.subtract_deduplicated(stranger), Error);
+    if (data.num_rows() > 0) {
+      const std::size_t r = rng.below(data.num_rows());
+      Dataset greedy(features);
+      greedy.add_row(data.row(r), data.label(r), data.weight(r) + 1);
+      EXPECT_THROW(data.subtract_deduplicated(greedy), Error);
+    }
+  }
+}
+
+TEST(Dataset, DeduplicationSeparatesTagCollisions) {
+  // Two distinct rows whose hashes share the 32-bit tag and the home
+  // slot of the smallest (16-slot) table: the index must tell them
+  // apart by comparing the rows themselves.
+  constexpr std::size_t kFeatures = 3;
+  const auto row_of = [](std::uint32_t i) {
+    return std::array<std::int8_t, kFeatures>{static_cast<std::int8_t>(i),
+                                              static_cast<std::int8_t>(i >> 8),
+                                              static_cast<std::int8_t>(i >> 16)};
+  };
+  const auto key_of = [&](std::uint32_t i) {
+    const std::uint64_t h = Dataset::row_hash(row_of(i).data(), kFeatures, 0);
+    return (h & 0xFFFFFFFF00000000ull) | (h & 15);
+  };
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keys;
+  for (std::uint32_t i = 0; i < (1u << 20); ++i) keys.emplace_back(key_of(i), i);
+  std::sort(keys.begin(), keys.end());
+  const auto same = std::adjacent_find(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
+    return a.first == b.first;
+  });
+  ASSERT_NE(same, keys.end()) << "no tag collision among 2^20 rows";
+  const auto a = row_of(same->second);
+  const auto b = row_of((same + 1)->second);
+
+  Dataset data(kFeatures);
+  Dataset part(kFeatures);
+  part.add_row(a.data(), 0, 2);
+  part.add_row(b.data(), 0, 3);
+  part.add_row(a.data(), 0, 4);
+  part.add_row(b.data(), 0, 5);
+  data.add_deduplicated(part);
+  ASSERT_EQ(data.num_rows(), 2u);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), data.row(0)));
+  EXPECT_TRUE(std::equal(b.begin(), b.end(), data.row(1)));
+  EXPECT_EQ(data.weight(0), 6u);
+  EXPECT_EQ(data.weight(1), 8u);
+  Dataset only_b(kFeatures);
+  only_b.add_row(b.data(), 0, 8);
+  const Dataset rest = data.subtract_deduplicated(only_b);
+  ASSERT_EQ(rest.num_rows(), 1u);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), rest.row(0)));
+  EXPECT_EQ(rest.weight(0), 6u);
+}
+
+TEST(ColumnView, SampledRowsCarryLabelsWeightsAndRange) {
+  Dataset data(2);
+  const std::int8_t r0[] = {-5, 1}, r1[] = {0, 2}, r2[] = {1, 1}, r3[] = {7, 0};
+  data.add_row(r0, 0, 1);
+  data.add_row(r1, 1, 2);
+  data.add_row(r2, 0, 3);
+  data.add_row(r3, 1, 4);
+  const ColumnView full(data);
+  EXPECT_EQ(full.min_value(), -5);
+  EXPECT_EQ(full.max_value(), 7);
+  EXPECT_EQ(ColumnView(Dataset(2)).min_value(), 0);  // empty view: {0, 0}
+  EXPECT_EQ(ColumnView(Dataset(2)).max_value(), 0);
+  const ColumnView some(data, {1, 2});
+  ASSERT_EQ(some.num_rows(), 2u);
+  EXPECT_EQ(some.column(0)[0], 0);
+  EXPECT_EQ(some.column(0)[1], 1);
+  EXPECT_EQ(some.column(1)[0], 2);
+  EXPECT_EQ(some.label(0), 1);
+  EXPECT_EQ(some.weight(1), 3u);
+  EXPECT_EQ(some.min_value(), 0);
+  EXPECT_EQ(some.max_value(), 2);
+}
+
+// RandomForest transposes only the rows its trees drew. The forest must
+// equal one whose trees, given the same draws and seeds, fit on a view
+// of every row — whose value range is wider than the drawn rows'.
+TEST(RandomForest, FitOverDrawnRowsEqualsFullTranspose) {
+  Rng data_rng(61);
+  Dataset data(10);
+  for (int r = 0; r < 3000; ++r) {
+    std::int8_t row[10];
+    for (auto& v : row) v = static_cast<std::int8_t>(data_rng.range(0, 3));
+    if (r < 2) row[r] = r == 0 ? -9 : 12;  // two outliers widen the full range
+    data.add_row(row, (row[1] + row[4] > 3) != (row[7] == 2) ? 1 : 0,
+                 static_cast<std::uint32_t>(1 + data_rng.below(3)));
+  }
+  const ColumnView full(data);
+  for (const bool bootstrap : {false, true}) {
+    ForestParams params;
+    params.num_trees = 5;
+    params.max_samples_per_tree = 100;
+    params.bootstrap = bootstrap;
+    params.seed = 11;
+    params.jobs = 2;
+    RandomForest forest(params);
+    forest.fit(data);
+
+    // grow()'s draw order: per tree, its row sample, then its seed.
+    Rng rng(params.seed);
+    TreeParams tp = params.tree;
+    tp.max_features = 3;  // lround(sqrt(10))
+    std::vector<std::uint32_t> drawn_rows;
+    ASSERT_EQ(forest.trees().size(), params.num_trees);
+    for (const DecisionTree& fitted : forest.trees()) {
+      std::vector<std::uint32_t> indices;
+      if (bootstrap) {
+        for (std::size_t i = 0; i < params.max_samples_per_tree; ++i) {
+          indices.push_back(static_cast<std::uint32_t>(rng.below(data.num_rows())));
+        }
+      } else {
+        for (std::size_t i : rng.sample_indices(data.num_rows(), params.max_samples_per_tree)) {
+          indices.push_back(static_cast<std::uint32_t>(i));
+        }
+      }
+      drawn_rows.insert(drawn_rows.end(), indices.begin(), indices.end());
+      DecisionTree reference(tp, rng.next());
+      reference.fit_indices(full, indices);
+      ASSERT_EQ(fitted.num_nodes(), reference.num_nodes()) << "bootstrap=" << bootstrap;
+      for (std::size_t i = 0; i < fitted.num_nodes(); ++i) {
+        const auto a = fitted.node_record(i);
+        const auto b = reference.node_record(i);
+        ASSERT_TRUE(a.left == b.left && a.right == b.right && a.feature == b.feature &&
+                    a.threshold == b.threshold && a.count0 == b.count0 && a.count1 == b.count1)
+            << "bootstrap=" << bootstrap << " node " << i;
+      }
+    }
+    // The premise: the drawn rows miss some of the extreme values.
+    std::sort(drawn_rows.begin(), drawn_rows.end());
+    drawn_rows.erase(std::unique(drawn_rows.begin(), drawn_rows.end()), drawn_rows.end());
+    const ColumnView drawn(data, drawn_rows);
+    EXPECT_TRUE(drawn.min_value() > full.min_value() || drawn.max_value() < full.max_value());
+  }
 }
 
 }  // namespace

@@ -74,7 +74,9 @@ TEST(ParallelFor, RethrowsLowestIndexedException) {
     // Non-throwing tasks all ran: one failure does not abandon the rest
     // (serial mode stops at the throw, which is also its documented
     // in-order behavior).
-    if (jobs > 1) EXPECT_EQ(completed.load(), 14);
+    if (jobs > 1) {
+      EXPECT_EQ(completed.load(), 14);
+    }
   }
 }
 

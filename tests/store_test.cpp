@@ -725,13 +725,18 @@ TEST(BinaryStore, ReloadRacesInflightBatchesOnMappedStore) {
   server.start();
 
   // Reload storm: fresh mappings of the same file swap in mid-batch.
+  // The batch starts only once the storm has begun, so a reloader thread
+  // scheduled late on a loaded machine cannot miss the batch entirely.
   std::atomic<bool> done{false};
+  std::atomic<bool> storming{false};
   std::thread reloader([&] {
     while (!done.load()) {
       server.reload(open_model_store(shared_binary_path()));
+      storming.store(true);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
+  while (!storming.load()) std::this_thread::yield();
 
   serve::ClientOptions copts;
   copts.socket_path = options.socket_path;

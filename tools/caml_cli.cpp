@@ -577,6 +577,11 @@ int cmd_serve(const Args& args) {
   options.max_queue = args.max_queue;
   options.max_batch = args.max_batch;
   options.sojourn_target_ms = static_cast<int>(args.shed_target_ms);
+  // Idle keep-alive connections live 10 s, not the library's 2 s. Closing
+  // one races a client about to send on it: those requests fail with the
+  // connection. A pipelined client's spare connections sit idle for
+  // seconds between bursts, so a short timeout keeps hitting that race.
+  options.idle_timeout_ms = 10000;
   serve::Server server(std::move(store), options);
   // Store-fault recovery: when a serving mmap snapshot faults (backing
   // file truncated/rewritten in place), the server re-opens from disk
