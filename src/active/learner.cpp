@@ -228,36 +228,41 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
   // trees otherwise. Runs at each round start and once after the loop,
   // so live and resumed runs walk the same (dataset, increment)
   // sequence per group — the incremental forests are byte-identical.
+  // The groups train concurrently; results apply in key order.
   const auto retrain = [&] {
+    std::vector<GroupTraining> groups;
     for (auto& [key, is_dirty] : dirty) {
       if (!is_dirty) continue;
       is_dirty = false;
       const auto pit = pool.find(key);
       if (pit == pool.end() || pit->second.empty()) continue;
-      const auto t0 = Clock::now();
-      try {
-        const Dataset data = build_training_set(pit->second, base.ml);
-        const auto fit = forests.find(key);
-        if (fit == forests.end()) {
-          RandomForest forest(base.ml.forest);
-          forest.fit(data);
-          forests.emplace(key, std::move(forest));
-        } else if (options.full_refit) {
-          fit->second = RandomForest(base.ml.forest);
-          fit->second.fit(data);
-        } else {
-          fit->second.fit_more(data, options.trees_per_round);
-        }
-        training_seconds[key] +=
-            std::chrono::duration<double>(Clock::now() - t0).count();
-      } catch (const Error& e) {
-        // A group that cannot train serves conventionally until its
-        // pool changes again — degradation, never a fatal error.
-        log_warn() << "active: training failed for group (" << key.num_inputs << " in, "
-                   << key.num_transistors << " T): " << e.what()
-                   << "; group serves conventionally";
-        forests.erase(key);
+      GroupTraining& group = groups.emplace_back();
+      group.key = key;
+      group.cells = pit->second;
+      const auto fit = forests.find(key);
+      if (fit != forests.end() && !options.full_refit) {
+        group.warm_start = true;
+        group.extra_trees = options.trees_per_round;
+        group.forest = std::move(fit->second);
       }
+    }
+    train_groups(groups, base.ml);
+    for (GroupTraining& group : groups) {
+      if (group.error) {
+        try {
+          std::rethrow_exception(group.error);
+        } catch (const Error& e) {
+          // A group that cannot train serves conventionally until its
+          // pool changes again — degradation, never a fatal error.
+          log_warn() << "active: training failed for group (" << group.key.num_inputs
+                     << " in, " << group.key.num_transistors << " T): " << e.what()
+                     << "; group serves conventionally";
+          forests.erase(group.key);
+        }
+        continue;
+      }
+      training_seconds[group.key] += group.seconds;
+      forests.insert_or_assign(group.key, std::move(group.forest));
     }
   };
 

@@ -1,12 +1,14 @@
 #include "flow/ml_flow.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "defect/universe.hpp"
 #include "obs/trace.hpp"
 #include "sim/evaluator.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace caml {
 
@@ -26,6 +28,15 @@ std::size_t training_rows_bound(const CharacterizedCell& cell, const MlOptions& 
                                               : std::min(rows, options.max_train_rows_per_cell);
 }
 
+/// The same bound summed over a group's cells: sizes the training
+/// set's buffers and orders train_groups' schedule.
+std::size_t training_rows_bound(const std::vector<const CharacterizedCell*>& train_cells,
+                                const MlOptions& options) {
+  std::size_t rows = 0;
+  for (const CharacterizedCell* cell : train_cells) rows += training_rows_bound(*cell, options);
+  return rows;
+}
+
 }  // namespace
 
 Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_cells,
@@ -36,13 +47,14 @@ Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_ce
   const std::size_t features =
       matrix_feature_count(first.num_inputs(), first.num_transistors(), options.matrix);
   Dataset data(features);
-  // Size the dedup index for every input row up front so merging the
-  // group's matrices never rehashes.
-  std::size_t input_rows = 0;
-  for (const CharacterizedCell* cell : train_cells) {
-    input_rows += training_rows_bound(*cell, options);
-  }
+  // Size the dedup index and the row buffers for every input row up
+  // front: merging the group's matrices never rehashes, and the buffers
+  // never regrow. Concurrent group builds would otherwise leave each
+  // doubling step's freed chunk resident in the allocator's per-thread
+  // arenas; the untouched tail of one reservation is never resident.
+  const std::size_t input_rows = training_rows_bound(train_cells, options);
   data.reserve_deduplicated(input_rows);
+  data.reserve(input_rows);
   Rng rng(options.seed);
   for (const CharacterizedCell* cell : train_cells) {
     CAML_ASSERT(cell->num_inputs() == first.num_inputs());
@@ -76,6 +88,43 @@ std::unique_ptr<Classifier> train_group_classifier(
   std::unique_ptr<Classifier> classifier = options.new_classifier();
   classifier->fit(data);
   return classifier;
+}
+
+void train_groups(std::vector<GroupTraining>& groups, const MlOptions& options) {
+  if (groups.empty()) return;
+  std::vector<std::size_t> bound(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    bound[g] = training_rows_bound(groups[g].cells, options);
+  }
+  // Largest first, so the longest group starts at once instead of
+  // finishing last; ties keep key order.
+  std::vector<std::size_t> order(groups.size());
+  for (std::size_t g = 0; g < order.size(); ++g) order[g] = g;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return bound[a] > bound[b]; });
+  const std::size_t jobs = resolve_jobs(options.forest.jobs);
+  const std::size_t fit_jobs = std::max<std::size_t>(1, jobs / groups.size());
+  parallel_for(order.size(), jobs, [&](std::size_t k) {
+    GroupTraining& group = groups[order[k]];
+    CAML_TRACE_SPAN_ITEMS("train_group", group.cells.size());
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      const Dataset data = build_training_set(group.cells, options);
+      group.distinct_rows = data.num_rows();
+      if (group.warm_start) {
+        group.forest.set_jobs(fit_jobs);
+        group.forest.fit_more(data, group.extra_trees);
+      } else {
+        ForestParams params = options.forest;
+        params.jobs = fit_jobs;
+        group.forest = RandomForest(params);
+        group.forest.fit(data);
+      }
+    } catch (...) {
+      group.error = std::current_exception();
+    }
+    group.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  });
 }
 
 ProductView PreparedPrediction::product() const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <memory>
 
@@ -35,6 +36,34 @@ Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_ce
 /// Trains the group classifier.
 std::unique_ptr<Classifier> train_group_classifier(
     const std::vector<const CharacterizedCell*>& train_cells, const MlOptions& options);
+
+/// One group's forest to train with train_groups.
+struct GroupTraining {
+  GroupKey key;
+  std::vector<const CharacterizedCell*> cells;  ///< the group's training pool
+  /// true: grow `forest` by `extra_trees` trees (RandomForest::fit_more).
+  /// false: replace `forest` with a fresh fit under MlOptions::forest.
+  bool warm_start = false;
+  std::size_t extra_trees = 0;
+  RandomForest forest;
+
+  // Set by train_groups.
+  std::size_t distinct_rows = 0;  ///< rows of the deduplicated training set
+  double seconds = 0.0;           ///< this group's own wall time: build + fit
+  /// What building or fitting threw; `forest` is then unusable.
+  std::exception_ptr error;
+};
+
+/// Trains every group, one pool task per group on up to
+/// MlOptions::forest.jobs workers. Each task builds its group's training
+/// set, fits, and frees the set, so at most `jobs` sets are alive at
+/// once. Tasks start largest first (by the Σ S·(D+1) input rows of
+/// their cells), and each fit gets max(1, jobs / groups.size())
+/// threads. Every group's forest depends only on its own cells, so the
+/// results are identical for any jobs value. A failure is caught per
+/// group and left in its `error`; callers apply the results in their
+/// own (key) order.
+void train_groups(std::vector<GroupTraining>& groups, const MlOptions& options);
 
 /// Predicts the CA model of a new cell with a trained group classifier:
 /// builds the unlabeled CA-matrix, classifies every (stimulus, defect)

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "ml/forest_io.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/io.hpp"
 #include "util/log.hpp"
@@ -44,18 +43,21 @@ GroupModelStore GroupModelStore::train(const std::vector<CharacterizedCell>& tra
                                        const MlOptions& options) {
   GroupModelStore store;
   store.matrix_ = options.matrix;
-  const GroupMap groups = group_cells(training);
-  for (const auto& [key, members] : groups) {
-    CAML_TRACE_SPAN_ITEMS("train_group", members.size());
-    std::vector<const CharacterizedCell*> cells;
-    for (std::size_t m : members) cells.push_back(&training[m]);
-    const Dataset data = build_training_set(cells, options);
-    RandomForest forest(options.forest);
-    forest.fit(data);
-    store.models_.emplace(key, std::move(forest));
-    log_info() << "trained group (" << key.num_inputs << " in, " << key.num_transistors
-               << " T) on " << cells.size() << " cells / " << data.num_rows()
-               << " distinct rows";
+  std::vector<GroupTraining> groups;
+  for (const auto& [key, members] : group_cells(training)) {
+    GroupTraining& group = groups.emplace_back();
+    group.key = key;
+    for (std::size_t m : members) group.cells.push_back(&training[m]);
+  }
+  train_groups(groups, options);
+  // Apply in key order: the first failing group's error is the one a
+  // group-by-group loop would have thrown, whatever finished first.
+  for (GroupTraining& group : groups) {
+    if (group.error) std::rethrow_exception(group.error);
+    log_info() << "trained group (" << group.key.num_inputs << " in, "
+               << group.key.num_transistors << " T) on " << group.cells.size() << " cells / "
+               << group.distinct_rows << " distinct rows";
+    store.models_.emplace(group.key, std::move(group.forest));
   }
   return store;
 }

@@ -49,6 +49,10 @@ class RandomForest : public Classifier {
   /// through the same sizes draw the same trees.
   void fit_more(const Dataset& data, std::size_t extra_trees);
 
+  /// Worker threads for later fit / fit_more calls (ForestParams::jobs).
+  /// The fitted trees do not depend on it.
+  void set_jobs(std::size_t jobs) { params_.jobs = jobs; }
+
   std::uint8_t predict(const std::int8_t* row) const override;
   std::string name() const override { return "RandomForest"; }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "libgen/technology.hpp"
 #include "ml/forest.hpp"
 #include "test_support.hpp"
+#include "util/error.hpp"
 
 namespace caml {
 namespace {
@@ -343,8 +345,6 @@ TEST(ActiveFlow, StructuralPolicyReproducesFig7Routing) {
 TEST(ActiveFlow, JournalsAndModelsIdenticalAcrossJobCounts) {
   for (const RoutingPolicy policy : {RoutingPolicy::kActive, RoutingPolicy::kStructural}) {
     SCOPED_TRACE(routing_policy_name(policy));
-    const std::string dir1 = temp_dir("jobs1");
-    const std::string dir4 = temp_dir("jobs4");
     const auto run = [&](const std::string& dir, std::size_t jobs) {
       active::ActiveOptions options = small_options();
       options.base.routing = policy;
@@ -353,26 +353,107 @@ TEST(ActiveFlow, JournalsAndModelsIdenticalAcrossJobCounts) {
       options.base.checkpoint.dir = dir;
       return active::run_active_flow(corpus().training, corpus().targets, options);
     };
+    const std::string dir1 = temp_dir("jobs1");
     const active::ActiveReport serial = run(dir1, 1);
-    const active::ActiveReport threaded = run(dir4, 4);
-
-    EXPECT_EQ(slurp(dir1 + "/" + CheckpointJournal::kFileName),
-              slurp(dir4 + "/" + CheckpointJournal::kFileName))
-        << "acquisition journals must be byte-identical across job counts";
-
     const std::string store1 = dir1 + "/models.caml";
-    const std::string store4 = dir4 + "/models.caml";
     serial.models.save_file(store1);
-    threaded.models.save_file(store4);
-    EXPECT_EQ(slurp(store1), slurp(store4))
-        << "final model stores must be byte-identical across job counts";
 
-    ASSERT_EQ(serial.hybrid.outcomes.size(), threaded.hybrid.outcomes.size());
-    for (std::size_t i = 0; i < serial.hybrid.outcomes.size(); ++i) {
-      EXPECT_EQ(serial.hybrid.outcomes[i].routed_to_ml, threaded.hybrid.outcomes[i].routed_to_ml);
-      EXPECT_DOUBLE_EQ(serial.hybrid.outcomes[i].accuracy, threaded.hybrid.outcomes[i].accuracy);
+    // 3 workers leave one idle under the largest-first group schedule.
+    for (const std::size_t jobs : {3, 4}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs));
+      const std::string dir = temp_dir(("jobs" + std::to_string(jobs)).c_str());
+      const active::ActiveReport threaded = run(dir, jobs);
+
+      EXPECT_EQ(slurp(dir1 + "/" + CheckpointJournal::kFileName),
+                slurp(dir + "/" + CheckpointJournal::kFileName))
+          << "acquisition journals must be byte-identical across job counts";
+
+      const std::string store = dir + "/models.caml";
+      threaded.models.save_file(store);
+      EXPECT_EQ(slurp(store1), slurp(store))
+          << "final model stores must be byte-identical across job counts";
+
+      ASSERT_EQ(serial.hybrid.outcomes.size(), threaded.hybrid.outcomes.size());
+      for (std::size_t i = 0; i < serial.hybrid.outcomes.size(); ++i) {
+        EXPECT_EQ(serial.hybrid.outcomes[i].routed_to_ml,
+                  threaded.hybrid.outcomes[i].routed_to_ml);
+        EXPECT_DOUBLE_EQ(serial.hybrid.outcomes[i].accuracy,
+                         threaded.hybrid.outcomes[i].accuracy);
+      }
+      EXPECT_EQ(serial.acquired_mask, threaded.acquired_mask);
     }
-    EXPECT_EQ(serial.acquired_mask, threaded.acquired_mask);
+  }
+}
+
+TEST(ActiveFlow, UntrainableGroupsFailInKeyOrderForAnyJobs) {
+  // Two training groups cannot train: the lowest-key group's cells have
+  // no stimuli, so they give no training rows, and one cell of the
+  // largest-key group claims the wrong input count. Each fails its
+  // matrix build with its own message. The larger group is scheduled
+  // first, yet both trainers report failures in key order, exactly as a
+  // group-by-group loop would.
+  std::vector<CharacterizedCell> training = corpus().training;
+  const GroupMap groups = group_cells(training);
+  ASSERT_GE(groups.size(), 3u);
+  const GroupKey empty_key = groups.begin()->first;
+  const GroupKey broken_key = groups.rbegin()->first;
+  for (std::size_t m : groups.begin()->second) {
+    training[m].model.stimuli.clear();
+    training[m].model.golden_responses.clear();
+    training[m].model.defects.clear();
+  }
+  training[groups.rbegin()->second.front()].model.num_inputs += 1;
+
+  MlOptions ml = small_options().base.ml;
+  for (const std::size_t jobs : {1, 4}) {
+    ml.forest.jobs = jobs;
+    try {
+      GroupModelStore::train(training, ml);
+      ADD_FAILURE() << "training must fail at jobs=" << jobs;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("stimuli.size()"), std::string::npos)
+          << "jobs=" << jobs << ": " << e.what();
+    }
+  }
+
+  const auto key_text = [](const GroupKey& key) {
+    return "group (" + std::to_string(key.num_inputs) + " in, " +
+           std::to_string(key.num_transistors) + " T)";
+  };
+  for (const RoutingPolicy policy :
+       {RoutingPolicy::kActive, RoutingPolicy::kHybrid, RoutingPolicy::kStructural}) {
+    SCOPED_TRACE(routing_policy_name(policy));
+    const auto run = [&](std::size_t jobs) {
+      active::ActiveOptions options = small_options();
+      options.base.routing = policy;
+      options.jobs = jobs;
+      options.base.ml.forest.jobs = jobs;
+      std::ostringstream warnings;
+      std::streambuf* old = std::cerr.rdbuf(warnings.rdbuf());
+      active::ActiveReport report = active::run_active_flow(training, corpus().targets, options);
+      std::cerr.rdbuf(old);
+      return std::make_pair(std::move(report), warnings.str());
+    };
+    const auto [serial, serial_warnings] = run(1);
+    const auto [threaded, threaded_warnings] = run(4);
+    EXPECT_EQ(serial_warnings, threaded_warnings);
+    const std::size_t empty_at = serial_warnings.find(key_text(empty_key));
+    const std::size_t broken_at = serial_warnings.find(key_text(broken_key));
+    ASSERT_NE(empty_at, std::string::npos) << serial_warnings;
+    ASSERT_NE(broken_at, std::string::npos) << serial_warnings;
+    EXPECT_LT(empty_at, broken_at) << serial_warnings;
+
+    // Only the two broken groups degrade; every other group trained.
+    for (const active::ActiveReport* report : {&serial, &threaded}) {
+      for (const auto& [key, members] : groups) {
+        EXPECT_EQ(report->models.has_group(key), key != empty_key && key != broken_key)
+            << key_text(key);
+      }
+    }
+    const std::string dir = temp_dir("untrainable");
+    serial.models.save_file(dir + "/a.caml");
+    threaded.models.save_file(dir + "/b.caml");
+    EXPECT_EQ(slurp(dir + "/a.caml"), slurp(dir + "/b.caml"));
   }
 }
 

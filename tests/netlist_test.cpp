@@ -5,7 +5,6 @@
 #include "netlist/graph.hpp"
 #include "netlist/spice_parser.hpp"
 #include "netlist/spice_writer.hpp"
-#include "netlist/verilog_writer.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -223,33 +222,6 @@ TEST(CellGraph, ComponentChannelNetsExcludeRails) {
   }
   // Z and net0.
   EXPECT_EQ(nets.size(), 2u);
-}
-
-
-TEST(VerilogWriter, EmitsSwitchLevelModule) {
-  const VerilogWriter writer;
-  const std::string text = writer.to_string(make_nand2());
-  EXPECT_NE(text.find("module NAND2_FIG4 (input A, input B, output Z);"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("supply1 VDD;"), std::string::npos);
-  EXPECT_NE(text.find("supply0 VSS;"), std::string::npos);
-  EXPECT_NE(text.find("wire net0;"), std::string::npos);
-  // Primitive port order is (drain, source, gate).
-  EXPECT_NE(text.find("nmos N10 (Z, net0, A);"), std::string::npos) << text;
-  EXPECT_NE(text.find("pmos Px (Z, VDD, A);"), std::string::npos);
-  EXPECT_NE(text.find("endmodule"), std::string::npos);
-}
-
-TEST(VerilogWriter, EscapesAwkwardNames) {
-  Cell cell("X1-odd");
-  const NetId a = cell.add_net("in.0", NetKind::kInput);
-  const NetId z = cell.add_net("Z", NetKind::kOutput);
-  cell.add_net("VDD", NetKind::kPower);
-  const NetId vss = cell.add_net("VSS", NetKind::kGround);
-  cell.add_transistor({"M0", MosType::kNmos, z, a, vss, vss, 0.4, 0.03});
-  const std::string text = VerilogWriter().to_string(cell);
-  EXPECT_NE(text.find("\\X1-odd "), std::string::npos) << text;
-  EXPECT_NE(text.find("\\in.0 "), std::string::npos);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "camodel/model_io.hpp"
 #include "flow/characterize.hpp"
+#include "flow/model_store.hpp"
 #include "ml/dataset.hpp"
 #include "ml/forest_io.hpp"
 #include "test_support.hpp"
@@ -181,6 +182,33 @@ TEST(ParallelDeterminism, ForestFitMatchesSerialForAnyJobs) {
         EXPECT_EQ(serial.second, parallel.second) << "jobs=" << jobs;
       }
     }
+  }
+}
+
+TEST(ParallelDeterminism, GroupStoreTrainingMatchesSerialForAnyJobs) {
+  // Groups of several sizes (two drive variants per function), so the
+  // largest-first schedule leaves workers idle at odd job counts.
+  Library lib = make_parallel_library();
+  std::uint64_t seed = 200;
+  for (const char* function : {"NAND2", "AOI21", "NAND3", "AOI22"}) {
+    lib.cells.push_back(testing::build_function(
+        function, lib.technology, {2, StructureVariant::kMerged}, seed++));
+  }
+  const std::vector<CharacterizedCell> cells = characterize_library(lib, {});
+  ASSERT_GE(group_cells(cells).size(), 5u);
+
+  const auto train = [&](std::size_t jobs) {
+    MlOptions options;
+    options.forest.num_trees = 5;
+    options.forest.max_samples_per_tree = 300;
+    options.forest.jobs = jobs;
+    std::ostringstream os;
+    GroupModelStore::train(cells, options).save(os);
+    return os.str();
+  };
+  const std::string serial = train(1);
+  for (const std::size_t jobs : {2, 3, 4, 8}) {
+    EXPECT_EQ(serial, train(jobs)) << "jobs=" << jobs;
   }
 }
 

@@ -790,34 +790,53 @@ TEST(ServeServer, DeadlineExpiredIsShedWithoutCompute) {
   // A v2 request whose 1 ms deadline expires while queued behind a slow
   // batch is answered DEADLINE_EXCEEDED and never reaches the compute
   // plane — the shed counters prove no forest work was spent on it.
+  // The blockers are 4-input cells (several ms of compute each), so the
+  // deadline lapses with a wide margin even on a loaded host.
+  static const GroupModelStore store = [] {
+    const Technology tech = technology_28soi();
+    std::vector<CharacterizedCell> training;
+    training.push_back(
+        characterize(build_function("NAND2", tech, {1, StructureVariant::kWide}, 1), tech));
+    training.push_back(
+        characterize(build_function("AOI22", tech, {1, StructureVariant::kWide}, 1), tech));
+    MlOptions ml;
+    ml.forest.num_trees = 8;
+    return GroupModelStore::train(training, ml);
+  }();
   ServerOptions options;
   options.socket_path = temp_socket("deadline");
   options.jobs = 1;       // one worker: FIFO drain order is deterministic
   options.max_batch = 1;  // blocker and deadline job in separate batches
-  Server server(shared_store(), options);
+  Server server(store, options);
   server.start();
 
+  const Technology tech = technology_28soi();
+  const std::string blocker_netlist = SpiceWriter().to_string(
+      build_function("AOI22", tech, {1, StructureVariant::kWide}, 9).cell);
   const std::string netlist = SpiceWriter().to_string(make_target_nand2());
   const Fd conn = connect_unix(options.socket_path, 2000);
 
-  // Pipeline five frames on one connection: four v1 blockers (their
-  // serial compute keeps the single worker busy far past 1 ms) and a v2
+  // Pipeline five frames on one connection, sent in one write so the
+  // reactor decodes them together: four v1 blockers (their serial
+  // compute keeps the single worker busy far past 1 ms) and a v2
   // request carrying a 1 ms deadline. The reactor decodes in order, so
   // the deadline job waits in the queue while every blocker computes.
   constexpr std::uint64_t kBlockers = 4;
+  std::string pipeline;
   for (std::uint64_t id = 1; id <= kBlockers; ++id) {
     Frame blocker;
     blocker.type = MsgType::kPredictCell;
     blocker.request_id = id;
-    blocker.payload = netlist;
-    serve::write_frame(conn.get(), blocker, 2000);
+    blocker.payload = blocker_netlist;
+    pipeline += encode_frame(blocker);
   }
   Frame doomed;
   doomed.version = serve::kProtocolVersionDeadline;
   doomed.type = MsgType::kPredictCell;
   doomed.request_id = kBlockers + 1;
   doomed.payload = serve::encode_predict_payload(1, netlist);
-  serve::write_frame(conn.get(), doomed, 2000);
+  pipeline += encode_frame(doomed);
+  write_all(conn.get(), pipeline.data(), pipeline.size(), 2000);
 
   for (std::uint64_t id = 1; id <= kBlockers; ++id) {
     const std::optional<Frame> response = serve::read_frame(conn.get(), 30000);
