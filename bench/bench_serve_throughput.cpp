@@ -7,7 +7,8 @@
 //     p50/p99 are client-observed round trips.
 //   * pipelined: the same clients keep `window` requests in flight on
 //     one connection each; the reactor coalesces the decoded requests
-//     across connections into predict_batch sweeps. p50/p99 are
+//     across connections into batches, and the compute plane runs one
+//     predict_product walk per request of a batch. p50/p99 are
 //     server-side decode-to-response-written latencies, and batch_mean
 //     shows the realized coalescing.
 //
@@ -120,7 +121,7 @@ RunResult run_roundtrip(const GroupModelStore& store, const std::string& netlist
 
 /// `window` requests in flight per connection: the reactor decodes ahead
 /// of the compute plane and coalesces requests across all connections
-/// into predict_batch sweeps.
+/// into batches (one predict_product walk per request).
 RunResult run_pipelined(const GroupModelStore& store, const std::string& netlist,
                         const std::string& socket_path, std::size_t workers,
                         std::size_t window, std::size_t requests_per_client) {
@@ -259,7 +260,8 @@ int main(int argc, char** argv) {
   std::cout << "\nmode pipelined (" << pipeline_workers
             << " workers; `window` requests in flight per connection,\n"
                "server-side decode-to-response-written latency; batch_mean =\n"
-               "requests coalesced per cross-connection predict_batch sweep):\n";
+               "requests coalesced per cross-connection batch, one\n"
+               "predict_product walk each):\n";
   TextTable pipelined;
   pipelined.new_row();
   pipelined.cell("window");

@@ -117,6 +117,12 @@ std::string hexfloat_probas(const std::vector<double>& probas) {
   return os.str();
 }
 
+/// Class-1 probabilities of 12-feature probe rows from one forest walk.
+std::vector<double> probas(const Classifier& forest, const std::vector<std::int8_t>& probe) {
+  return forest.predict_product(ProductView::row_block(probe.data(), probe.size() / 12, 12))
+      .proba;
+}
+
 /// Median of `reps` timed runs of `fn` (microseconds).
 template <typename Fn>
 double median_us(int reps, Fn&& fn) {
@@ -295,8 +301,8 @@ int main(int argc, char** argv) {
         break;
       }
       identical = identical &&
-                  hexfloat_probas(text_forest->predict_proba_batch(probe.data(), 128, 12)) ==
-                      hexfloat_probas(map_forest->predict_proba_batch(probe.data(), 128, 12));
+                  hexfloat_probas(probas(*text_forest, probe)) ==
+                      hexfloat_probas(probas(*map_forest, probe));
     }
   }
   std::cout << "predictions identical across load paths: " << (identical ? "yes" : "NO")

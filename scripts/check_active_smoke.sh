@@ -11,7 +11,8 @@
 #   (e) active reaches at least the structural baseline's mean ML
 #       accuracy on this corpus,
 #   (f) --resume without --checkpoint is a usage error (exit 2),
-#   (g) --trees 0 is a usage error (exit 2) for train, hybrid and active.
+#   (g) --trees 0 is a usage error (exit 2) for train, hybrid and active,
+#   (h) a non-finite --sim-budget (nan, inf, 1e999) is a usage error.
 # Pass a different build dir as $1.
 set -eu
 BUILD_DIR="${1:-build}"
@@ -72,6 +73,15 @@ expect_usage_error "hybrid --trees 0" \
   "$CAML" hybrid "$WORK/train.sp" "$WORK/train_cam" "$WORK/target.sp" "$WORK/target_cam" --trees 0
 expect_usage_error "active --trees 0" \
   "$CAML" active "$WORK/train.sp" "$WORK/train_cam" "$WORK/target.sp" "$WORK/target_cam" --trees 0
+
+echo "== a non-finite --sim-budget is a usage error"
+# A NaN budget fails every 'budget > 0' test, so it would silently mean
+# "unlimited"; the parser must refuse it (and infinities) up front.
+for budget in nan inf 1e999; do
+  expect_usage_error "active --sim-budget $budget" \
+    "$CAML" active "$WORK/train.sp" "$WORK/train_cam" "$WORK/target.sp" "$WORK/target_cam" \
+    --routing active --sim-budget "$budget"
+done
 
 echo "== active: --jobs 1 vs --jobs 4 must be byte-identical"
 run_active 1 "$WORK/ck1" "$WORK/m1.caml" 2 > "$WORK/active1.out"

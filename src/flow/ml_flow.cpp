@@ -37,6 +37,21 @@ std::size_t training_rows_bound(const std::vector<const CharacterizedCell*>& tra
   return rows;
 }
 
+/// One cell's CA-matrix rows as a Dataset: all of them, or, under a
+/// per-cell cap, a stratified sample of them drawn from the group's
+/// `rng`.
+Dataset cell_training_rows(const CaMatrix& matrix, const MlOptions& options, Rng& rng) {
+  Dataset rows(matrix.num_features());
+  rows.reserve(matrix.num_rows());
+  for (std::size_t r = 0; r < matrix.num_rows(); ++r) {
+    rows.add_row(matrix.row(r), matrix.labels()[r]);
+  }
+  if (options.max_train_rows_per_cell == 0) return rows;
+  Dataset sampled(matrix.num_features());
+  sampled.add_sampled(rows, options.max_train_rows_per_cell, rng);
+  return sampled;
+}
+
 }  // namespace
 
 Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_cells,
@@ -68,14 +83,7 @@ Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_ce
       data.add_deduplicated(matrix.features().data(), matrix.labels().data(),
                             matrix.num_rows());
     } else {
-      Dataset cell_data(features);
-      cell_data.reserve(matrix.num_rows());
-      for (std::size_t r = 0; r < matrix.num_rows(); ++r) {
-        cell_data.add_row(matrix.row(r), matrix.labels()[r]);
-      }
-      Dataset sampled(features);
-      sampled.add_sampled(cell_data, options.max_train_rows_per_cell, rng);
-      data.add_deduplicated(sampled);
+      data.add_deduplicated(cell_training_rows(matrix, options, rng));
     }
   }
   return data;
@@ -252,16 +260,7 @@ std::vector<CellEvaluation> evaluate_leave_one_out(const std::vector<Characteriz
       const CharacterizedCell& cell = cells[m];
       const CaMatrix matrix = build_ca_matrix(cell.source.cell, cell.model, cell.canonical,
                                               cell.sim, options.matrix);
-      Dataset rows(features);
-      rows.reserve(matrix.num_rows());
-      for (std::size_t r = 0; r < matrix.num_rows(); ++r) {
-        rows.add_row(matrix.row(r), matrix.labels()[r]);
-      }
-      if (options.max_train_rows_per_cell != 0) {
-        Dataset sampled(features);
-        sampled.add_sampled(rows, options.max_train_rows_per_cell, rng);
-        rows = std::move(sampled);
-      }
+      Dataset rows = cell_training_rows(matrix, options, rng);
       master.add_deduplicated(rows);
       cell_sets.push_back(std::move(rows));
     }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,13 +23,23 @@ struct ProductView {
   std::size_t defects = 0;
 
   std::size_t num_rows() const { return stimuli * defects; }
+
+  /// `n` plain rows (`stride` features apart) as a product with one
+  /// defect and no defect columns: every split tests a stimulus column,
+  /// so the factored walk over it is the row-by-row walk.
+  static ProductView row_block(const std::int8_t* rows, std::size_t n, std::size_t stride) {
+    return {rows, stride, std::numeric_limits<std::size_t>::max(), n, 1};
+  }
 };
 
 /// Per-row classification of a ProductView, in product row order.
 struct ProductVotes {
   std::vector<double> proba;   ///< probability of class 1
-  std::vector<double> margin;  ///< as Classifier::predict_margin_batch
-  /// proba >= 0.5: the labels predict_batch gives for the same rows.
+  /// How decisively the classifier commits to each row's label, in
+  /// [0, 1]. Ensembles report the hard-vote disagreement margin
+  /// |2 * vote1 / trees - 1| (0 = evenly split, 1 = unanimous).
+  std::vector<double> margin;
+  /// proba >= 0.5: the predicted labels.
   std::vector<std::uint8_t> labels() const;
 };
 
@@ -43,34 +54,24 @@ class Classifier {
   virtual std::uint8_t predict(const std::int8_t* row) const = 0;
   virtual std::string name() const = 0;
 
+  /// Probability and margin of every row of a stimulus × defect product
+  /// — the one batch evaluation a classifier implements, and the call
+  /// every inference path makes on an unlabeled CA-matrix. Forests
+  /// override it with the factored walk (ml/forest_walk.hpp). The
+  /// default loops predict() over the materialized rows: proba is the
+  /// 0/1 label and the margin is 1.0, since a non-ensemble classifier
+  /// exposes no internal disagreement (uncertainty-driven acquisition
+  /// treats it as fully confident).
+  virtual ProductVotes predict_product(const ProductView& product) const;
+
   /// Predicted labels for `n` rows laid out contiguously with `stride`
-  /// features between row starts (a CaMatrix feature block qualifies).
-  /// The default loops predict(); classifiers with batch-friendly
-  /// internals (RandomForest) override it with a single pass, which is
-  /// what the inference paths call — one batched classification per
-  /// (cell, group) instead of one virtual dispatch per matrix row.
-  virtual std::vector<std::uint8_t> predict_batch(const std::int8_t* rows, std::size_t n,
-                                                  std::size_t stride) const;
+  /// features between row starts (a CaMatrix feature block qualifies):
+  /// predict_product over ProductView::row_block.
+  std::vector<std::uint8_t> predict_batch(const std::int8_t* rows, std::size_t n,
+                                          std::size_t stride) const;
 
   /// Predicted label for every row of a dataset.
   std::vector<std::uint8_t> predict_all(const Dataset& data) const;
-
-  /// Per-row confidence margin in [0, 1]: how decisively the classifier
-  /// commits to its label. Ensembles override this with the hard-vote
-  /// disagreement margin |2 * vote1 / trees - 1| (0 = evenly split,
-  /// 1 = unanimous); the default says 1.0 for every row — a
-  /// non-ensemble classifier exposes no internal disagreement, so
-  /// uncertainty-driven acquisition treats it as fully confident.
-  virtual std::vector<double> predict_margin_batch(const std::int8_t* rows, std::size_t n,
-                                                   std::size_t stride) const;
-
-  /// Probability and margin of every row of a stimulus × defect product
-  /// — the call every inference path makes on an unlabeled CA-matrix.
-  /// Forests override it with the factored walk (ml/forest_walk.hpp),
-  /// bit-identical to their row-wise batches. The default classifies the
-  /// materialized rows with predict_batch (proba is the 0/1 label) and
-  /// predict_margin_batch.
-  virtual ProductVotes predict_product(const ProductView& product) const;
 };
 
 }  // namespace caml

@@ -126,64 +126,8 @@ RandomForest RandomForest::assemble(std::vector<DecisionTree> trees,
   return forest;
 }
 
-double RandomForest::predict_proba(const std::int8_t* row) const {
-  CAML_ASSERT(!trees_.empty());
-  double sum = 0.0;
-  for (const DecisionTree& tree : trees_) {
-    const auto [c0, c1] = tree.leaf_votes(row);
-    sum += soft_vote(c0, c1);
-  }
-  return sum / static_cast<double>(trees_.size());
-}
-
 std::uint8_t RandomForest::predict(const std::int8_t* row) const {
-  return predict_proba(row) >= 0.5 ? 1 : 0;
-}
-
-std::vector<double> RandomForest::predict_proba_batch(const std::int8_t* rows, std::size_t n,
-                                                      std::size_t stride) const {
-  CAML_ASSERT(!trees_.empty());
-  CAML_TRACE_SPAN_ITEMS("predict", n);
-  record_forest_batch(n);
-  // Tree-major: the outer loop visits each tree once and classifies all
-  // rows through it, so a tree's node array stays cache-resident across
-  // the whole batch. Per row the votes still accumulate in tree order,
-  // which keeps the floating-point sum identical to predict_proba().
-  std::vector<double> sum(n, 0.0);
-  for (const DecisionTree& tree : trees_) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto [c0, c1] = tree.leaf_votes(rows + r * stride);
-      sum[r] += soft_vote(c0, c1);
-    }
-  }
-  for (double& s : sum) s /= static_cast<double>(trees_.size());
-  return sum;
-}
-
-std::vector<std::uint8_t> RandomForest::predict_batch(const std::int8_t* rows, std::size_t n,
-                                                      std::size_t stride) const {
-  const std::vector<double> proba = predict_proba_batch(rows, n, stride);
-  std::vector<std::uint8_t> out(n);
-  for (std::size_t r = 0; r < n; ++r) out[r] = proba[r] >= 0.5 ? 1 : 0;
-  return out;
-}
-
-std::vector<double> RandomForest::predict_margin_batch(const std::int8_t* rows, std::size_t n,
-                                                       std::size_t stride) const {
-  CAML_ASSERT(!trees_.empty());
-  // Tree-major like predict_proba_batch, but each tree casts a hard vote
-  // for its majority leaf class. Accumulation stays in tree order per
-  // row so the margin is the same double no matter how rows are batched.
-  std::vector<double> vote1(n, 0.0);
-  for (const DecisionTree& tree : trees_) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto [c0, c1] = tree.leaf_votes(rows + r * stride);
-      vote1[r] += hard_vote(c0, c1);
-    }
-  }
-  const double trees = static_cast<double>(trees_.size());
-  for (double& v : vote1) v = vote_margin(v, trees);
-  return vote1;
+  return predict_product(ProductView::row_block(row, 1, 0)).labels()[0];
 }
 
 ProductVotes RandomForest::predict_product(const ProductView& product) const {

@@ -53,38 +53,16 @@ class RandomForest : public Classifier {
   /// The fitted trees do not depend on it.
   void set_jobs(std::size_t jobs) { params_.jobs = jobs; }
 
+  /// One row through the factored walk (a one-row predict_product).
   std::uint8_t predict(const std::int8_t* row) const override;
   std::string name() const override { return "RandomForest"; }
 
-  /// Probability of class 1 (fraction of soft votes).
-  double predict_proba(const std::int8_t* row) const;
-
-  /// Batched inference over `n` contiguous rows (`stride` features
-  /// apart): one tree-major sweep instead of n per-row virtual calls.
-  /// Bit-identical to calling predict() per row — each row still
-  /// accumulates its tree votes in tree order — but walks every tree's
-  /// nodes while they are hot in cache. This is the call the serving
-  /// path batches a whole request's CA-matrix into.
-  std::vector<std::uint8_t> predict_batch(const std::int8_t* rows, std::size_t n,
-                                          std::size_t stride) const override;
-
-  /// Batched predict_proba (same traversal as predict_batch).
-  std::vector<double> predict_proba_batch(const std::int8_t* rows, std::size_t n,
-                                          std::size_t stride) const;
-
-  /// Hard-vote disagreement margin per row: each tree casts one vote for
-  /// its majority leaf class (ties split 0.5/0.5), and the margin is
-  /// |2 * vote1 / trees - 1| — 0 when the ensemble is evenly split,
-  /// 1 when unanimous. Votes accumulate in tree order so the margins are
-  /// bit-identical across batch sizes, job counts and store backends
-  /// (MappedForest mirrors the arithmetic exactly).
-  std::vector<double> predict_margin_batch(const std::int8_t* rows, std::size_t n,
-                                           std::size_t stride) const override;
-
   /// Factored walk over a stimulus × defect product (ml/forest_walk.hpp):
-  /// each tree is walked once instead of once per row, and the result is
-  /// bit-identical to predict_proba_batch / predict_margin_batch over
-  /// the materialized rows.
+  /// each tree is walked once instead of once per row. Per row, the soft
+  /// votes (summed leaf class frequencies) and the hard votes for each
+  /// tree's majority leaf class accumulate in tree order, so the answer
+  /// is the same double for any batching, job count or store backend
+  /// (MappedForest runs the same walk over its packed trees).
   ProductVotes predict_product(const ProductView& product) const override;
 
   const std::vector<DecisionTree>& trees() const { return trees_; }

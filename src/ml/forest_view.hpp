@@ -51,10 +51,9 @@ inline std::uint64_t read_u64(const unsigned char* p) {
 /// read side of the binary model store. Each tree is three raw spans
 /// inside one read-only mapping (packed nodes, leaf count0[], leaf
 /// count1[]); predict traverses them in place, no parse, no copy, no
-/// ownership. Vote aggregation replicates RandomForest bit for bit:
-/// per-row soft votes accumulate in tree order with the identical
-/// floating-point expression, so a mapped store and a text-loaded store
-/// answer byte-identically (enforced by tests/store_test.cpp).
+/// ownership. It runs the same factored walk as RandomForest, so a
+/// mapped store and a text-loaded store answer byte-identically
+/// (enforced by tests/store_test.cpp).
 ///
 /// Lifetime: the spans must outlive the view (MappedModelStore keeps the
 /// mapping alive). Thread safety: predict is const over immutable bytes,
@@ -75,17 +74,8 @@ class MappedForest final : public Classifier {
   /// Mapped forests are read-only snapshots; training them is a misuse.
   void fit(const Dataset&) override;
 
+  /// One row through the factored walk (a one-row predict_product).
   std::uint8_t predict(const std::int8_t* row) const override;
-  double predict_proba(const std::int8_t* row) const;
-  std::vector<std::uint8_t> predict_batch(const std::int8_t* rows, std::size_t n,
-                                          std::size_t stride) const override;
-  std::vector<double> predict_proba_batch(const std::int8_t* rows, std::size_t n,
-                                          std::size_t stride) const;
-
-  /// Hard-vote disagreement margin, bit-identical to
-  /// RandomForest::predict_margin_batch over the same trees.
-  std::vector<double> predict_margin_batch(const std::int8_t* rows, std::size_t n,
-                                           std::size_t stride) const override;
 
   /// The factored walk RandomForest::predict_product runs, over the
   /// packed nodes; bit-identical to it.

@@ -6,6 +6,10 @@
 
 namespace caml {
 
+namespace {
+
+/// Records one batch of `rows` classified rows in the caml_forest_*
+/// inference metrics.
 void record_forest_batch(std::size_t rows) {
   static obs::Histogram& batch_rows = obs::Registry::global().histogram(
       "caml_forest_batch_rows", "Rows per forest batch prediction");
@@ -14,6 +18,8 @@ void record_forest_batch(std::size_t rows) {
   batch_rows.record(rows);
   rows_predicted.add(rows);
 }
+
+}  // namespace
 
 ProductWalk::ProductWalk(const ProductView& product)
     : product_(product),

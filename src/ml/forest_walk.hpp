@@ -10,8 +10,8 @@
 
 namespace caml {
 
-/// Forest traversal kernels shared by RandomForest (DecisionTree nodes)
-/// and MappedForest (packed nodes in a mapped store). Both hand them a
+/// The forest evaluation shared by RandomForest (DecisionTree nodes)
+/// and MappedForest (packed nodes in a mapped store). Both hand it a
 /// node accessor:
 ///   nodes.node(i)  -> a node with left, right, feature, threshold and
 ///                     is_leaf(); a row goes left iff
@@ -39,22 +39,6 @@ inline double vote_margin(double vote1, double trees) {
   return std::abs(2.0 * vote1 / trees - 1.0);
 }
 
-/// Leaf votes of the leaf one row lands in.
-template <class Nodes>
-std::pair<std::uint64_t, std::uint64_t> walk_row(const Nodes& nodes, const std::int8_t* row) {
-  std::size_t at = 0;
-  for (;;) {
-    const auto node = nodes.node(at);
-    if (node.is_leaf()) return nodes.votes(at);
-    at = static_cast<std::size_t>(row[node.feature] <= node.threshold ? node.left
-                                                                      : node.right);
-  }
-}
-
-/// Records one batch of `rows` classified rows in the caml_forest_*
-/// inference metrics (both backends, row-wise and factored).
-void record_forest_batch(std::size_t rows);
-
 /// Factored forest evaluation over a stimulus × defect product.
 ///
 /// Every split tests one column, so it partitions either the stimulus
@@ -63,8 +47,10 @@ void record_forest_batch(std::size_t rows);
 /// arrays; a split partitions one of the ranges in place, and a leaf
 /// adds its soft and hard vote to all |S'|·|D'| rows of its rectangle.
 /// Each row reaches exactly one leaf per tree, and trees are added in
-/// order, so every row sums the same doubles in the same order as the
-/// row-wise batch: probabilities and margins are bit-identical.
+/// order, so every row sums the same doubles in the same order as a
+/// walk of that row alone: probabilities and margins are bit-identical
+/// for any product shape, and ProductView::row_block makes the walk the
+/// plain row-by-row one.
 ///
 /// The constructor allocates every buffer; add_tree allocates nothing
 /// (it recurses, bounded by the tree depth), so it may run under

@@ -3,30 +3,9 @@
 #include <algorithm>
 #include <numeric>
 
-#include "ml/forest_walk.hpp"
 #include "util/error.hpp"
 
 namespace caml {
-
-std::vector<std::uint8_t> Classifier::predict_batch(const std::int8_t* rows, std::size_t n,
-                                                    std::size_t stride) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(n);
-  for (std::size_t r = 0; r < n; ++r) out.push_back(predict(rows + r * stride));
-  return out;
-}
-
-std::vector<std::uint8_t> Classifier::predict_all(const Dataset& data) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(data.num_rows());
-  for (std::size_t r = 0; r < data.num_rows(); ++r) out.push_back(predict(data.row(r)));
-  return out;
-}
-
-std::vector<double> Classifier::predict_margin_batch(const std::int8_t*, std::size_t n,
-                                                     std::size_t) const {
-  return std::vector<double>(n, 1.0);
-}
 
 std::vector<std::uint8_t> ProductVotes::labels() const {
   std::vector<std::uint8_t> out(proba.size());
@@ -36,9 +15,18 @@ std::vector<std::uint8_t> ProductVotes::labels() const {
 
 ProductVotes Classifier::predict_product(const ProductView& product) const {
   const std::size_t n = product.num_rows();
-  const std::vector<std::uint8_t> labels = predict_batch(product.rows, n, product.stride);
-  return ProductVotes{std::vector<double>(labels.begin(), labels.end()),
-                      predict_margin_batch(product.rows, n, product.stride)};
+  ProductVotes votes{std::vector<double>(n), std::vector<double>(n, 1.0)};
+  for (std::size_t r = 0; r < n; ++r) votes.proba[r] = predict(product.rows + r * product.stride);
+  return votes;
+}
+
+std::vector<std::uint8_t> Classifier::predict_batch(const std::int8_t* rows, std::size_t n,
+                                                    std::size_t stride) const {
+  return predict_product(ProductView::row_block(rows, n, stride)).labels();
+}
+
+std::vector<std::uint8_t> Classifier::predict_all(const Dataset& data) const {
+  return predict_batch(data.row(0), data.num_rows(), data.num_features());
 }
 
 void DecisionTree::fit(const Dataset& data) {
@@ -209,7 +197,12 @@ std::uint8_t DecisionTree::predict(const std::int8_t* row) const {
 
 std::pair<std::uint64_t, std::uint64_t> DecisionTree::leaf_votes(const std::int8_t* row) const {
   CAML_ASSERT(!nodes_.empty());
-  return walk_row(nodes(), row);
+  std::size_t at = 0;
+  while (!nodes_[at].is_leaf()) {
+    const Node& node = nodes_[at];
+    at = static_cast<std::size_t>(row[node.feature] <= node.threshold ? node.left : node.right);
+  }
+  return {count0_[at], count1_[at]};
 }
 
 std::size_t DecisionTree::depth() const {

@@ -26,6 +26,7 @@ namespace fs = std::filesystem;
 
 using testing::build_function;
 using testing::characterize;
+using testing::hexfloats;
 
 std::string temp_dir(const char* tag) {
   const fs::path dir = fs::temp_directory_path() /
@@ -40,13 +41,6 @@ std::string slurp(const std::string& path) {
   EXPECT_TRUE(is.good()) << path;
   std::ostringstream os;
   os << is.rdbuf();
-  return os.str();
-}
-
-std::string hexfloats(const std::vector<double>& values) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  for (const double v : values) os << v << '\n';
   return os.str();
 }
 
@@ -123,7 +117,8 @@ TEST(ActiveMargin, DefaultClassifierReportsFullConfidence) {
   const Dataset data = make_dataset(64, 5, 7);
   tree.fit(data);
   const std::vector<std::int8_t> row(5, 0);
-  const std::vector<double> margins = tree.predict_margin_batch(row.data(), 1, 5);
+  const std::vector<double> margins =
+      tree.predict_product(ProductView::row_block(row.data(), 1, 5)).margin;
   ASSERT_EQ(margins.size(), 1u);
   EXPECT_DOUBLE_EQ(margins[0], 1.0);
 }
@@ -142,7 +137,8 @@ TEST(ActiveMargin, ForestMarginTracksVoteDisagreement) {
       rows.push_back(static_cast<std::int8_t>(static_cast<int>((r * 6 + f) % 3) - 1));
     }
   }
-  const std::vector<double> margins = forest.predict_margin_batch(rows.data(), 64, 6);
+  const std::vector<double> margins =
+      forest.predict_product(ProductView::row_block(rows.data(), 64, 6)).margin;
   ASSERT_EQ(margins.size(), 64u);
   double min_m = 1.0;
   for (const double m : margins) {
@@ -157,7 +153,8 @@ TEST(ActiveMargin, ForestMarginTracksVoteDisagreement) {
   // the full sweep exactly.
   std::vector<double> per_row;
   for (std::size_t r = 0; r < 64; ++r) {
-    per_row.push_back(forest.predict_margin_batch(rows.data() + r * 6, 1, 6).at(0));
+    per_row.push_back(
+        forest.predict_product(ProductView::row_block(rows.data() + r * 6, 1, 6)).margin.at(0));
   }
   EXPECT_EQ(hexfloats(per_row), hexfloats(margins));
 }
@@ -209,11 +206,12 @@ TEST(ActiveFitMore, GrowsDeterministicallyAndMatchesAcrossJobs) {
     x ^= x << 17;
     rows.push_back(static_cast<std::int8_t>(static_cast<int>(x % 3) - 1));
   }
-  const std::vector<double> probe = serial.predict_proba_batch(rows.data(), 50, 6);
-  EXPECT_NE(hexfloats(probe), hexfloats(std::vector<double>(50, 0.0)))
+  const auto probas = [&](const RandomForest& forest) {
+    return hexfloats(forest.predict_product(ProductView::row_block(rows.data(), 50, 6)).proba);
+  };
+  EXPECT_NE(probas(serial), hexfloats(std::vector<double>(50, 0.0)))
       << "probe rows must exercise non-trivial leaf mixtures";
-  EXPECT_EQ(hexfloats(serial.predict_proba_batch(rows.data(), 50, 6)),
-            hexfloats(threaded.predict_proba_batch(rows.data(), 50, 6)))
+  EXPECT_EQ(probas(serial), probas(threaded))
       << "warm-started forests must be bit-identical for any jobs value";
 
   // The increments draw fresh randomness: grown trees are not clones of
@@ -221,8 +219,7 @@ TEST(ActiveFitMore, GrowsDeterministicallyAndMatchesAcrossJobs) {
   RandomForest refit(params);
   refit.fit(enlarged);
   EXPECT_EQ(refit.trees().size(), 6u);
-  EXPECT_NE(hexfloats(serial.predict_proba_batch(rows.data(), 50, 6)),
-            hexfloats(refit.predict_proba_batch(rows.data(), 50, 6)));
+  EXPECT_NE(probas(serial), probas(refit));
 
   // fit_more(0) is a no-op.
   RandomForest noop(params);

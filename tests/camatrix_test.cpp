@@ -327,34 +327,54 @@ TEST(Matrix, AblationOptionsChangeWidth) {
   EXPECT_EQ(matrix_feature_count(2, 4, no_tt), matrix_feature_count(2, 4) - 4);
 }
 
-// Property: two scrambled builds of the same cell produce identical
-// CA-matrices up to row order (the ML layer sees the same data whatever
-// the vendor netlist looked like).
+// Property: scrambling a cell (device order, device names, internal
+// net names) changes neither its labeled CA-matrix rows up to row order
+// nor the multiset of its defects' detection vectors — the ML layer and
+// the CA model see the same data whatever the vendor netlist looked
+// like. Every catalog function of up to three inputs, under every
+// default technology, in the wide and the split drive-2 structure.
 TEST(Matrix, ScrambleInvarianceUpToRowOrder) {
-  const Technology tech = technology_28soi();
   Rng rng(0x77);
-  for (const char* name : {"NAND2", "AOI21", "XOR2"}) {
-    Rng r1 = rng.fork(), r2 = rng.fork();
-    const Cell a = build_cell(find_function(name), tech, {2, StructureVariant::kSplit},
-                              {"", 1.0}, name, r1);
-    const Cell b = build_cell(find_function(name), tech, {2, StructureVariant::kSplit},
-                              {"", 1.0}, name, r2);
-    const auto rows = [&](const Cell& c) {
-      GenerationOptions gen;
-      gen.sim = tech.sim;
+  std::size_t scrambles = 0;
+  for (const Technology& tech : default_technologies()) {
+    GenerationOptions gen;
+    gen.sim = tech.sim;
+    // Sorted labeled rows and sorted detection vectors of one cell.
+    const auto observe = [&](const Cell& c) {
       const CaModel model = generate_ca_model(c, gen);
       const CaMatrix m = build_ca_matrix(c, model, canonicalize(c, tech.sim), tech.sim);
-      std::vector<std::vector<std::int8_t>> out;
+      std::vector<std::vector<std::int8_t>> rows;
       for (std::size_t r = 0; r < m.num_rows(); ++r) {
         std::vector<std::int8_t> row(m.row(r), m.row(r) + m.num_features());
         row.push_back(static_cast<std::int8_t>(m.labels()[r]));
-        out.push_back(std::move(row));
+        rows.push_back(std::move(row));
       }
-      std::sort(out.begin(), out.end());
-      return out;
+      std::vector<std::string> detections;  // one byte per stimulus
+      for (const CaDefectEntry& e : model.defects) {
+        detections.emplace_back(e.detection.begin(), e.detection.end());
+      }
+      std::sort(rows.begin(), rows.end());
+      std::sort(detections.begin(), detections.end());
+      return std::make_pair(std::move(rows), std::move(detections));
     };
-    EXPECT_EQ(rows(a), rows(b)) << name;
+    for (const CellFunction& function : function_catalog()) {
+      if (function.num_inputs > 3) continue;
+      for (const StructureVariant variant : {StructureVariant::kWide, StructureVariant::kSplit}) {
+        Rng build_rng = rng.fork(), scramble_rng = rng.fork();
+        const Cell cell =
+            build_cell(function, tech, {2, variant}, {"", 1.0}, function.name, build_rng);
+        const Cell scrambled = scramble_cell(cell, tech, scramble_rng);
+        const auto [rows, detections] = observe(cell);
+        const auto [scrambled_rows, scrambled_detections] = observe(scrambled);
+        const std::string what = function.name + " " + tech.name +
+                                 (variant == StructureVariant::kWide ? " wide" : " split");
+        EXPECT_EQ(rows, scrambled_rows) << what;
+        EXPECT_EQ(detections, scrambled_detections) << what;
+        ++scrambles;
+      }
+    }
   }
+  EXPECT_GE(scrambles, 144u);
 }
 
 }  // namespace

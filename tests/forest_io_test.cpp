@@ -35,9 +35,12 @@ TEST(ForestIo, RoundTripPreservesPredictions) {
   EXPECT_EQ(loaded.num_features, train.num_features());
   EXPECT_EQ(loaded.forest.trees().size(), forest.trees().size());
   EXPECT_EQ(loaded.forest.predict_all(test), forest.predict_all(test));
+  const auto proba = [&](const RandomForest& f, std::size_t r) {
+    return f.predict_product(ProductView::row_block(test.row(r), 1, test.num_features()))
+        .proba.at(0);
+  };
   for (std::size_t r = 0; r < 20; ++r) {
-    EXPECT_DOUBLE_EQ(loaded.forest.predict_proba(test.row(r)),
-                     forest.predict_proba(test.row(r)));
+    EXPECT_DOUBLE_EQ(proba(loaded.forest, r), proba(forest, r));
   }
 }
 

@@ -1,15 +1,15 @@
 // Oracle for the factored forest walk (ml/forest_walk.hpp):
 // Classifier::predict_product over a stimulus × defect product must
-// equal the row-wise batch over the materialized rows bit for bit —
-// probabilities and margins as hexfloat, labels byte for byte — for
-// RandomForest and MappedForest, over hundreds of seeded random forests
-// and product shapes, and for real CA-matrices.
+// equal an independent per-row referee over the materialized rows bit
+// for bit — probabilities and margins as hexfloat, labels byte for
+// byte — for RandomForest and MappedForest, over hundreds of seeded
+// random forests and product shapes, and for real CA-matrices. The
+// same rows as a one-defect row block, as a predict_batch and one by
+// one through predict must give the same answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
-#include <iomanip>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,13 +28,7 @@ namespace caml {
 namespace {
 
 using Records = std::vector<DecisionTree::NodeRecord>;
-
-std::string hexfloats(const std::vector<double>& values) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  for (const double v : values) os << v << '\n';
-  return os.str();
-}
+using testing::hexfloats;
 
 /// Which columns a random tree may split on.
 enum class Columns { kAny, kStimulusOnly, kDefectOnly };
@@ -130,21 +124,38 @@ struct Product {
   ProductView view() const { return {rows.data(), features, prefix, stimuli, defects}; }
 };
 
-/// Factored vs row-wise over the same materialized rows.
-template <class Forest>
-void expect_parity(const Forest& forest, const ProductView& product, const std::string& what) {
+/// `forest`'s factored walk against the per-row referee over the trees
+/// of `source` (the forest itself, or the one a mapped forest came
+/// from), over the same materialized rows.
+void expect_parity(const Classifier& forest, const RandomForest& source,
+                   const ProductView& product, const std::string& what) {
   const std::size_t n = product.num_rows();
+  const ProductVotes want = testing::row_wise_votes(source, product.rows, n, product.stride);
   const ProductVotes votes = forest.predict_product(product);
   ASSERT_EQ(votes.proba.size(), n) << what;
   ASSERT_EQ(votes.margin.size(), n) << what;
-  EXPECT_EQ(hexfloats(votes.proba),
-            hexfloats(forest.predict_proba_batch(product.rows, n, product.stride)))
+  EXPECT_EQ(hexfloats(votes.proba), hexfloats(want.proba)) << forest.name() << ' ' << what;
+  EXPECT_EQ(hexfloats(votes.margin), hexfloats(want.margin)) << forest.name() << ' ' << what;
+  const ProductVotes block =
+      forest.predict_product(ProductView::row_block(product.rows, n, product.stride));
+  EXPECT_EQ(hexfloats(block.proba), hexfloats(want.proba))
+      << forest.name() << " row block " << what;
+  EXPECT_EQ(hexfloats(block.margin), hexfloats(want.margin))
+      << forest.name() << " row block " << what;
+  EXPECT_EQ(forest.predict_batch(product.rows, n, product.stride), want.labels())
       << forest.name() << ' ' << what;
-  EXPECT_EQ(hexfloats(votes.margin),
-            hexfloats(forest.predict_margin_batch(product.rows, n, product.stride)))
-      << forest.name() << ' ' << what;
-  EXPECT_EQ(votes.labels(), forest.predict_batch(product.rows, n, product.stride))
-      << forest.name() << ' ' << what;
+  std::vector<std::uint8_t> one_by_one;
+  for (std::size_t r = 0; r < n; ++r) {
+    one_by_one.push_back(forest.predict(product.rows + r * product.stride));
+  }
+  EXPECT_EQ(one_by_one, want.labels()) << forest.name() << ' ' << what;
+}
+
+/// Both backends of one set of trees against the referee.
+void expect_parity(const TwoBackends& backends, const ProductView& product,
+                   const std::string& what) {
+  expect_parity(backends.forest, backends.forest, product, what);
+  expect_parity(backends.mapped, backends.forest, product, what);
 }
 
 TEST(ForestWalk, FactoredEqualsRowWiseOnRandomForestsAndShapes) {
@@ -167,8 +178,7 @@ TEST(ForestWalk, FactoredEqualsRowWiseOnRandomForestsAndShapes) {
     const std::string what = "seed " + std::to_string(seed) + " F=" + std::to_string(features) +
                              " P=" + std::to_string(prefix) + " S=" + std::to_string(stimuli) +
                              " D=" + std::to_string(defects);
-    expect_parity(backends.forest, product.view(), what);
-    expect_parity(backends.mapped, product.view(), what);
+    expect_parity(backends, product.view(), what);
     if (::testing::Test::HasFailure()) return;  // one diagnosis is enough
   }
 }
@@ -187,11 +197,9 @@ TEST(ForestWalk, SingleLeafAndZeroVoteTrees) {
     const ProductVotes votes = neutral.forest.predict_product(product.view());
     EXPECT_EQ(votes.proba, std::vector<double>(s * d, 0.5));
     EXPECT_EQ(votes.margin, std::vector<double>(s * d, 0.0));
-    expect_parity(neutral.forest, product.view(), "neutral leaf");
-    expect_parity(neutral.mapped, product.view(), "neutral leaf");
+    expect_parity(neutral, product.view(), "neutral leaf");
     const TwoBackends mixed({empty_leaf, positive_leaf, empty_leaf}, 4);
-    expect_parity(mixed.forest, product.view(), "mixed leaves");
-    expect_parity(mixed.mapped, product.view(), "mixed leaves");
+    expect_parity(mixed, product.view(), "mixed leaves");
   }
 }
 
@@ -265,8 +273,7 @@ TEST(ForestWalk, KindColumnSplitsPartitionDefects) {
       tree[0].right = grow(tree, rng, shape, 1);
     }
     const TwoBackends backends(trees, product.stride);
-    expect_parity(backends.forest, product, "KIND seed " + std::to_string(seed));
-    expect_parity(backends.mapped, product, "KIND seed " + std::to_string(seed));
+    expect_parity(backends, product, "KIND seed " + std::to_string(seed));
   }
 }
 
@@ -286,7 +293,7 @@ TEST(ForestWalk, TrainedForestOnRealCellsWithAndWithoutKind) {
       for (const CharacterizedCell& target : corpus.eval) {
         if (GroupKey{target.num_inputs(), target.num_transistors()} != key) continue;
         const PreparedPrediction prepared = prepare(target.source.cell, ml.matrix);
-        expect_parity(forest, prepared.product(),
+        expect_parity(forest, forest, prepared.product(),
                       target.source.cell.name() + (kind ? " +KIND" : ""));
       }
     }
@@ -308,9 +315,12 @@ TEST(ForestWalk, KnnAndLinearUseTheRowWiseDefault) {
   for (Classifier* c : {static_cast<Classifier*>(&knn), static_cast<Classifier*>(&logistic)}) {
     c->fit(data);
     const ProductVotes votes = c->predict_product(view);
-    const std::vector<std::uint8_t> labels =
-        c->predict_batch(view.rows, view.num_rows(), view.stride);
+    std::vector<std::uint8_t> labels;
+    for (std::size_t r = 0; r < view.num_rows(); ++r) {
+      labels.push_back(c->predict(view.rows + r * view.stride));
+    }
     EXPECT_EQ(votes.labels(), labels) << c->name();
+    EXPECT_EQ(c->predict_batch(view.rows, view.num_rows(), view.stride), labels) << c->name();
     EXPECT_EQ(votes.proba, std::vector<double>(labels.begin(), labels.end())) << c->name();
     EXPECT_EQ(votes.margin, std::vector<double>(view.num_rows(), 1.0)) << c->name();
   }

@@ -157,8 +157,11 @@ TEST(RandomForest, ProbaMonotoneWithVotes) {
   forest.fit(train);
   const std::int8_t positive[] = {3, 3, 0, 0};
   const std::int8_t negative[] = {0, 0, 3, 3};
-  EXPECT_GT(forest.predict_proba(positive), 0.5);
-  EXPECT_LT(forest.predict_proba(negative), 0.5);
+  const auto proba = [&](const std::int8_t* row) {
+    return forest.predict_product(ProductView::row_block(row, 1, 4)).proba.at(0);
+  };
+  EXPECT_GT(proba(positive), 0.5);
+  EXPECT_LT(proba(negative), 0.5);
 }
 
 TEST(RandomForest, DeterministicForSeed) {
@@ -186,7 +189,7 @@ TEST(RandomForest, EmptyLeafVotesAreNeutralNotNaN) {
       "ENDFOREST\n");
   const LoadedForest loaded = read_forest(in);
   const std::int8_t row[] = {0};
-  const double p = loaded.forest.predict_proba(row);
+  const double p = loaded.forest.predict_product(ProductView::row_block(row, 1, 1)).proba.at(0);
   EXPECT_FALSE(std::isnan(p));
   EXPECT_DOUBLE_EQ(p, (0.5 + 0.75) / 2.0);
 }

@@ -47,6 +47,8 @@ using store::open_model_store;
 using store::write_binary_store_file;
 using testing::build_function;
 using testing::characterize;
+using testing::hexfloats;
+using testing::row_wise_votes;
 
 std::string temp_dir(const char* tag) {
   const fs::path dir = fs::temp_directory_path() /
@@ -110,13 +112,11 @@ std::vector<std::int8_t> make_rows(std::size_t n, std::size_t features) {
   return rows;
 }
 
-/// Hexfloat rendering of per-row probabilities: any FP difference, down
-/// to the last ulp, changes these bytes.
-std::string hexfloat_probas(const std::vector<double>& probas) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  for (const double p : probas) os << p << '\n';
-  return os.str();
+/// Probability and margin of `n` plain rows, `features` apart, through
+/// the classifier's one evaluation (a one-defect product).
+ProductVotes row_votes(const Classifier& c, const std::int8_t* rows, std::size_t n,
+                       std::size_t features) {
+  return c.predict_product(ProductView::row_block(rows, n, features));
 }
 
 // ---------------------------------------------------------------------------
@@ -175,26 +175,29 @@ TEST(BinaryStore, HexfloatProbasIdenticalAcrossAllStoreBackends) {
     ASSERT_NE(rebuilt, nullptr);
 
     const std::string expected =
-        hexfloat_probas(trained->predict_proba_batch(rows.data(), n, features));
-    EXPECT_EQ(hexfloat_probas(view->predict_proba_batch(rows.data(), n, features)),
-              expected)
+        hexfloats(row_wise_votes(*trained, rows.data(), n, features).proba);
+    EXPECT_EQ(hexfloats(row_votes(*trained, rows.data(), n, features).proba), expected)
+        << "the trained forest's walk must match the per-row referee to the last bit";
+    EXPECT_EQ(hexfloats(row_votes(*view, rows.data(), n, features).proba), expected)
         << "mmap-backed probabilities must match the trained forest to the last bit";
-    EXPECT_EQ(hexfloat_probas(rebuilt->predict_proba_batch(rows.data(), n, features)),
-              expected)
+    EXPECT_EQ(hexfloats(row_votes(*rebuilt, rows.data(), n, features).proba), expected)
         << "materialized probabilities must match the trained forest to the last bit";
-    // Per-row entry point agrees with the batched one.
+    // One-row walks agree with the batched one.
     for (std::size_t r = 0; r < 5; ++r) {
-      EXPECT_EQ(view->predict_proba(rows.data() + r * features),
-                trained->predict_proba(rows.data() + r * features));
+      const std::int8_t* row = rows.data() + r * features;
+      EXPECT_EQ(hexfloats(row_votes(*view, row, 1, features).proba),
+                hexfloats(row_votes(*trained, row, 1, features).proba));
+      EXPECT_EQ(view->predict(row), trained->predict(row));
     }
   }
 }
 
 TEST(BinaryStore, HexfloatProbaAndMarginParityAcrossJobCounts) {
-  // predict_proba_batch and predict_margin_batch must be bit-identical
-  // between the trained forest and the mapped view, for any sharding of
-  // the rows across worker threads — the property the active-learning
-  // scorer leans on for jobs-independent acquisition order.
+  // Probabilities and vote margins must be bit-identical between the
+  // trained forest (as the per-row referee computes them) and the
+  // mapped view, for any sharding of the rows across worker threads —
+  // the property the active-learning scorer leans on for
+  // jobs-independent acquisition order.
   const MappedModelStore mapped = MappedModelStore::open(shared_binary_path());
   for (const GroupKey& key : shared_store().group_keys()) {
     const RandomForest* trained = shared_store().forest_for(key);
@@ -214,34 +217,28 @@ TEST(BinaryStore, HexfloatProbaAndMarginParityAcrossJobCounts) {
                              auto member) -> std::string {
       const std::vector<std::vector<double>> per_row =
           parallel_map(indices, jobs, [&](const std::size_t& r) {
-            return member(c, rows.data() + r * features);
+            return member(row_votes(c, rows.data() + r * features, 1, 0));
           });
       std::vector<double> flat;
       for (const std::vector<double>& v : per_row) flat.push_back(v.at(0));
-      return hexfloat_probas(flat);
+      return hexfloats(flat);
     };
-    const auto proba_one = [](const Classifier& c, const std::int8_t* row) {
-      return dynamic_cast<const RandomForest*>(&c) != nullptr
-                 ? static_cast<const RandomForest&>(c).predict_proba_batch(row, 1, 0)
-                 : static_cast<const MappedForest&>(c).predict_proba_batch(row, 1, 0);
-    };
-    const auto margin_one = [](const Classifier& c, const std::int8_t* row) {
-      return c.predict_margin_batch(row, 1, 0);
-    };
+    const auto proba_of = [](const ProductVotes& v) { return v.proba; };
+    const auto margin_of = [](const ProductVotes& v) { return v.margin; };
 
-    const std::string probas =
-        hexfloat_probas(trained->predict_proba_batch(rows.data(), n, features));
-    const std::string margins =
-        hexfloat_probas(trained->predict_margin_batch(rows.data(), n, features));
-    EXPECT_EQ(hexfloat_probas(view->predict_proba_batch(rows.data(), n, features)), probas)
+    const ProductVotes want = row_wise_votes(*trained, rows.data(), n, features);
+    const std::string probas = hexfloats(want.proba);
+    const std::string margins = hexfloats(want.margin);
+    const ProductVotes mapped_votes = row_votes(*view, rows.data(), n, features);
+    EXPECT_EQ(hexfloats(mapped_votes.proba), probas)
         << "mapped probabilities must match the trained forest to the last bit";
-    EXPECT_EQ(hexfloat_probas(view->predict_margin_batch(rows.data(), n, features)), margins)
+    EXPECT_EQ(hexfloats(mapped_votes.margin), margins)
         << "mapped vote margins must match the trained forest to the last bit";
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      EXPECT_EQ(sharded(*trained, jobs, proba_one), probas) << "jobs=" << jobs;
-      EXPECT_EQ(sharded(*view, jobs, proba_one), probas) << "jobs=" << jobs;
-      EXPECT_EQ(sharded(*trained, jobs, margin_one), margins) << "jobs=" << jobs;
-      EXPECT_EQ(sharded(*view, jobs, margin_one), margins) << "jobs=" << jobs;
+      EXPECT_EQ(sharded(*trained, jobs, proba_of), probas) << "jobs=" << jobs;
+      EXPECT_EQ(sharded(*view, jobs, proba_of), probas) << "jobs=" << jobs;
+      EXPECT_EQ(sharded(*trained, jobs, margin_of), margins) << "jobs=" << jobs;
+      EXPECT_EQ(sharded(*view, jobs, margin_of), margins) << "jobs=" << jobs;
     }
   }
 }
@@ -249,8 +246,9 @@ TEST(BinaryStore, HexfloatProbaAndMarginParityAcrossJobCounts) {
 TEST(BinaryStore, FactoredProductMatchesRowWiseAcrossBackendsAndJobCounts) {
   // Every group's real CA-matrices, classified by the factored
   // predict_product on the trained, mapped and materialized forests,
-  // must reproduce the trained forest's row-wise proba and margin to the
-  // last bit, whether the cells are classified inline or on 4 workers.
+  // must reproduce the per-row referee's proba and margin over the
+  // trained forest to the last bit, whether the cells are classified
+  // inline or on 4 workers.
   const MappedModelStore mapped = MappedModelStore::open(shared_binary_path());
   const GroupModelStore materialized = mapped.materialize();
   const Technology tech = technology_28soi();
@@ -275,10 +273,9 @@ TEST(BinaryStore, FactoredProductMatchesRowWiseAcrossBackendsAndJobCounts) {
       const CaMatrix& m = p.matrix;
       if (m.num_features() != trained->num_features()) continue;
       members.push_back(&p);
-      expected += hexfloat_probas(
-          trained->predict_proba_batch(m.features().data(), m.num_rows(), m.num_features()));
-      expected += hexfloat_probas(
-          trained->predict_margin_batch(m.features().data(), m.num_rows(), m.num_features()));
+      const ProductVotes want =
+          row_wise_votes(*trained, m.features().data(), m.num_rows(), m.num_features());
+      expected += hexfloats(want.proba) + hexfloats(want.margin);
     }
     ASSERT_FALSE(members.empty());
     const auto factored = [&](const Classifier& c, std::size_t jobs) {
@@ -286,7 +283,7 @@ TEST(BinaryStore, FactoredProductMatchesRowWiseAcrossBackendsAndJobCounts) {
       for (const ProductVotes& v : parallel_map(members, jobs, [&](const PreparedPrediction* p) {
              return c.predict_product(p->product());
            })) {
-        out += hexfloat_probas(v.proba) + hexfloat_probas(v.margin);
+        out += hexfloats(v.proba) + hexfloats(v.margin);
       }
       return out;
     };
@@ -619,14 +616,16 @@ TEST(BinaryStore, TruncationUnderMappingFaultsStructurally) {
   const auto* view = dynamic_cast<const MappedForest*>(mapped.classifier_for(key));
   ASSERT_NE(view, nullptr);
   // Baseline: the mapping answers normally before the truncation.
-  EXPECT_EQ(view->predict_proba_batch(rows.data(), 64, features).size(), 64u);
+  EXPECT_EQ(view->predict_batch(rows.data(), 64, features).size(), 64u);
 
   // Shrink the backing file to one page: the node arrays live far past
   // the new EOF, so traversal faults on first touch.
   ASSERT_EQ(::truncate(victim.c_str(), 4096), 0);
   EXPECT_FALSE(mapped.healthy()) << "size revalidation must flag the truncation";
-  EXPECT_THROW(view->predict_proba_batch(rows.data(), 64, features), io::MappingFault)
+  EXPECT_THROW(view->predict_batch(rows.data(), 64, features), io::MappingFault)
       << "SIGBUS must surface as a structured fault, not kill the process";
+  EXPECT_THROW(view->predict(rows.data()), io::MappingFault)
+      << "SIGBUS in a one-row walk must surface as a structured fault";
   // The factored walk runs under the same guard (as an 8 × 8 product of
   // the same rows: stimulus s from row s, defect d from row 8·d).
   const ProductView product{rows.data(), features, features / 2, 8, 8};

@@ -1,5 +1,9 @@
 #include "test_support.hpp"
 
+#include <sstream>
+
+#include "ml/forest_walk.hpp"
+
 namespace caml::testing {
 
 Cell make_nand2() {
@@ -105,6 +109,30 @@ SmallCorpus make_small_corpus() {
   corpus.train = characterize_library(build_library(soi, train_comp), CharacterizeOptions{});
   corpus.eval = characterize_library(build_library(c28, eval_comp), CharacterizeOptions{});
   return corpus;
+}
+
+ProductVotes row_wise_votes(const RandomForest& forest, const std::int8_t* rows, std::size_t n,
+                            std::size_t stride) {
+  const double trees = static_cast<double>(forest.trees().size());
+  ProductVotes out;
+  for (std::size_t r = 0; r < n; ++r) {
+    double sum = 0.0, vote1 = 0.0;
+    for (const DecisionTree& tree : forest.trees()) {
+      const auto [c0, c1] = tree.leaf_votes(rows + r * stride);
+      sum += soft_vote(c0, c1);
+      vote1 += hard_vote(c0, c1);
+    }
+    out.proba.push_back(sum / trees);
+    out.margin.push_back(vote_margin(vote1, trees));
+  }
+  return out;
+}
+
+std::string hexfloats(const std::vector<double>& values) {
+  std::ostringstream os;
+  os << std::hexfloat;
+  for (const double v : values) os << v << '\n';
+  return os.str();
 }
 
 }  // namespace caml::testing

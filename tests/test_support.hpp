@@ -1,9 +1,11 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "flow/characterize.hpp"
 #include "libgen/builder.hpp"
+#include "ml/forest.hpp"
 #include "netlist/cell.hpp"
 
 namespace caml::testing {
@@ -37,5 +39,17 @@ struct SmallCorpus {
   std::vector<CharacterizedCell> eval;   ///< C28
 };
 SmallCorpus make_small_corpus();
+
+/// Independent referee for forest evaluation: each of `n` rows
+/// (`stride` features apart) walks every tree of `forest` on its own
+/// (DecisionTree::leaf_votes) and sums its soft and hard votes in tree
+/// order. Proba and margin of the factored walk must match it bit for
+/// bit, on any backend loaded from `forest`.
+ProductVotes row_wise_votes(const RandomForest& forest, const std::int8_t* rows, std::size_t n,
+                            std::size_t stride);
+
+/// One hexfloat per line: any floating-point difference, down to the
+/// last bit, shows up as a string difference.
+std::string hexfloats(const std::vector<double>& values);
 
 }  // namespace caml::testing

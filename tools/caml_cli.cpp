@@ -24,6 +24,7 @@
 //   --trace FILE                        write a Chrome-trace JSON of the run
 //   --profile                           print a per-stage timing table on exit
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -199,8 +200,9 @@ Args parse_args(int argc, char** argv) {
       const std::string text = value();
       char* end = nullptr;
       const double parsed = std::strtod(text.c_str(), &end);
-      if (end == nullptr || *end != '\0' || end == text.c_str() || parsed < 0.0) {
-        usage(a + " needs a non-negative number, got '" + text + "'");
+      if (end == nullptr || *end != '\0' || end == text.c_str() || !std::isfinite(parsed) ||
+          parsed < 0.0) {
+        usage(a + " needs a finite non-negative number, got '" + text + "'");
       }
       return parsed;
     };
