@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "camodel/model_io.hpp"
@@ -127,18 +128,25 @@ std::vector<CharacterizedCell> load_library(const std::string& path, const Techn
   return cells;
 }
 
-std::vector<CharacterizedCell> characterize_or_load(const Library& library) {
-  const std::string path = cache_path(library.name);
+/// The cached cells of `library`, or nothing when the cache is missing,
+/// unreadable or holds another cell count.
+std::optional<std::vector<CharacterizedCell>> read_cache(const std::string& path,
+                                                         const Library& library) {
   try {
     std::vector<CharacterizedCell> cached = load_library(path, library.technology);
-    if (cached.size() == library.cells.size()) {
-      std::cerr << "[bench] " << library.name << ": loaded " << cached.size()
-                << " cells from cache\n";
-      return cached;
-    }
+    if (cached.size() == library.cells.size()) return cached;
   } catch (const Error& e) {
-    std::cerr << "[bench] cache for " << library.name << " unusable (" << e.what()
-              << "), regenerating\n";
+    std::cerr << "[bench] cache for " << library.name << " unusable (" << e.what() << ")\n";
+  }
+  return std::nullopt;
+}
+
+std::vector<CharacterizedCell> characterize_or_load(const Library& library) {
+  const std::string path = cache_path(library.name);
+  if (std::optional<std::vector<CharacterizedCell>> cached = read_cache(path, library)) {
+    std::cerr << "[bench] " << library.name << ": loaded " << cached->size()
+              << " cells from cache\n";
+    return std::move(*cached);
   }
   const auto t0 = Clock::now();
   std::vector<CharacterizedCell> cells = characterize_library(library, characterize_options());
@@ -146,6 +154,13 @@ std::vector<CharacterizedCell> characterize_or_load(const Library& library) {
             << format_fixed(std::chrono::duration<double>(Clock::now() - t0).count(), 1)
             << " s\n";
   save_library(path, cells);
+  // Return what every later (warm) run will load. The SPICE round trip
+  // renumbers a cell's nets, which can swap the canonical order of tied
+  // transistors and so reorder its CA-matrix rows; training on the
+  // in-memory cells would then differ from training on the cached ones.
+  if (std::optional<std::vector<CharacterizedCell>> cached = read_cache(path, library)) {
+    return std::move(*cached);
+  }
   return cells;
 }
 

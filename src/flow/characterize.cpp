@@ -16,12 +16,6 @@ namespace caml {
 
 namespace {
 
-/// The simulator config a cell would be characterized with — needed both
-/// by the fresh path and to reconstruct checkpointed cells identically.
-SimConfig effective_sim(const Technology& tech, const CharacterizeOptions& options) {
-  return options.use_technology_sim ? tech.sim : options.sim_override;
-}
-
 std::string artifact_path(const std::string& dir, const std::string& cell_name) {
   return (std::filesystem::path(dir) / (cell_name + ".camodel")).string();
 }
@@ -37,7 +31,7 @@ std::optional<CharacterizedCell> load_checkpointed_cell(const LibraryCell& cell,
     CharacterizedCell out;
     out.source = cell;
     out.model = read_ca_model_file(path, cell.cell);
-    out.sim = effective_sim(tech, options);
+    out.sim = tech.sim;
     out.canonical = canonicalize(cell.cell, out.sim);
     return out;
   } catch (const Error& e) {
@@ -57,7 +51,7 @@ CharacterizedCell characterize_cell(const LibraryCell& cell, const Technology& t
   gen.policy = options.policy.policy_for(cell.cell.num_inputs());
   gen.universe = options.universe;
   gen.injection = options.injection;
-  gen.sim = effective_sim(tech, options);
+  gen.sim = tech.sim;
 
   CharacterizedCell out;
   out.source = cell;

@@ -40,10 +40,6 @@ struct CharacterizeOptions {
   PolicyProfile policy;
   UniverseOptions universe;
   InjectionConfig injection;
-  /// The simulator (test-condition) parameters default to the library's
-  /// technology profile; override only for experiments.
-  bool use_technology_sim = true;
-  SimConfig sim_override;
   /// Worker threads for characterize_library (0 = one per hardware
   /// thread, 1 = serial). Results are identical for any value: cells are
   /// characterized independently and reassembled in library order.

@@ -19,37 +19,19 @@ std::unique_ptr<Classifier> MlOptions::new_classifier() const {
 
 namespace {
 
-/// Upper bound on the training rows a cell contributes: one CA-matrix
-/// row per (stimulus, defect) pair plus the defect-free rows, capped by
-/// the per-cell sample.
-std::size_t training_rows_bound(const CharacterizedCell& cell, const MlOptions& options) {
-  const std::size_t rows = cell.model.stimuli.size() * (cell.model.defects.size() + 1);
-  return options.max_train_rows_per_cell == 0 ? rows
-                                              : std::min(rows, options.max_train_rows_per_cell);
+/// The training rows a cell contributes: one CA-matrix row per
+/// (stimulus, defect) pair plus the defect-free rows.
+std::size_t training_rows(const CharacterizedCell& cell) {
+  return cell.model.stimuli.size() * (cell.model.defects.size() + 1);
 }
 
-/// The same bound summed over a group's cells: sizes the training
-/// set's buffers and orders train_groups' schedule.
-std::size_t training_rows_bound(const std::vector<const CharacterizedCell*>& train_cells,
-                                const MlOptions& options) {
+/// The same count summed over a group's cells: an upper bound on its
+/// distinct rows, which sizes the training set's buffers and orders
+/// train_groups' schedule.
+std::size_t training_rows_bound(const std::vector<const CharacterizedCell*>& train_cells) {
   std::size_t rows = 0;
-  for (const CharacterizedCell* cell : train_cells) rows += training_rows_bound(*cell, options);
+  for (const CharacterizedCell* cell : train_cells) rows += training_rows(*cell);
   return rows;
-}
-
-/// One cell's CA-matrix rows as a Dataset: all of them, or, under a
-/// per-cell cap, a stratified sample of them drawn from the group's
-/// `rng`.
-Dataset cell_training_rows(const CaMatrix& matrix, const MlOptions& options, Rng& rng) {
-  Dataset rows(matrix.num_features());
-  rows.reserve(matrix.num_rows());
-  for (std::size_t r = 0; r < matrix.num_rows(); ++r) {
-    rows.add_row(matrix.row(r), matrix.labels()[r]);
-  }
-  if (options.max_train_rows_per_cell == 0) return rows;
-  Dataset sampled(matrix.num_features());
-  sampled.add_sampled(rows, options.max_train_rows_per_cell, rng);
-  return sampled;
 }
 
 }  // namespace
@@ -67,24 +49,17 @@ Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_ce
   // never regrow. Concurrent group builds would otherwise leave each
   // doubling step's freed chunk resident in the allocator's per-thread
   // arenas; the untouched tail of one reservation is never resident.
-  const std::size_t input_rows = training_rows_bound(train_cells, options);
+  const std::size_t input_rows = training_rows_bound(train_cells);
   data.reserve_deduplicated(input_rows);
   data.reserve(input_rows);
-  Rng rng(options.seed);
   for (const CharacterizedCell* cell : train_cells) {
     CAML_ASSERT(cell->num_inputs() == first.num_inputs());
     CAML_ASSERT(cell->num_transistors() == first.num_transistors());
     const CaMatrix matrix = build_ca_matrix(cell->source.cell, cell->model, cell->canonical,
                                             cell->sim, options.matrix);
-    if (options.max_train_rows_per_cell == 0) {
-      // Exact full-data training: identical rows (from structurally
-      // identical sibling cells) merge into one weighted row, read
-      // straight from the matrix.
-      data.add_deduplicated(matrix.features().data(), matrix.labels().data(),
-                            matrix.num_rows());
-    } else {
-      data.add_deduplicated(cell_training_rows(matrix, options, rng));
-    }
+    // Identical rows (from structurally identical sibling cells) merge
+    // into one weighted row, read straight from the matrix.
+    data.add_deduplicated(matrix.features().data(), matrix.labels().data(), matrix.num_rows());
   }
   return data;
 }
@@ -102,7 +77,7 @@ void train_groups(std::vector<GroupTraining>& groups, const MlOptions& options) 
   if (groups.empty()) return;
   std::vector<std::size_t> bound(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    bound[g] = training_rows_bound(groups[g].cells, options);
+    bound[g] = training_rows_bound(groups[g].cells);
   }
   // Largest first, so the longest group starts at once instead of
   // finishing last; ties keep key order.
@@ -243,24 +218,27 @@ std::vector<CellEvaluation> evaluate_leave_one_out(const std::vector<Characteriz
   for (const auto& [key, members] : groups) {
     if (members.size() < 2) continue;  // paper: empty boxes
 
-    // Fast path: build each cell's (sampled, per-cell) row set once,
-    // merge into a master deduplicated set, then train each held-out
-    // iteration on master-minus-that-cell — identical training data to
-    // rebuilding per iteration at a fraction of the cost.
+    // Fast path: build each cell's row set once, merge into a master
+    // deduplicated set, then train each held-out iteration on
+    // master-minus-that-cell — identical training data to rebuilding
+    // per iteration at a fraction of the cost.
     const std::size_t features =
         matrix_feature_count(key.num_inputs, key.num_transistors, options.matrix);
     std::vector<Dataset> cell_sets;
     cell_sets.reserve(members.size());
     Dataset master(features);
     std::size_t input_rows = 0;
-    for (std::size_t m : members) input_rows += training_rows_bound(cells[m], options);
+    for (std::size_t m : members) input_rows += training_rows(cells[m]);
     master.reserve_deduplicated(input_rows);
-    Rng rng(options.seed);
     for (std::size_t m : members) {
       const CharacterizedCell& cell = cells[m];
       const CaMatrix matrix = build_ca_matrix(cell.source.cell, cell.model, cell.canonical,
                                               cell.sim, options.matrix);
-      Dataset rows = cell_training_rows(matrix, options, rng);
+      Dataset rows(features);
+      rows.reserve(matrix.num_rows());
+      for (std::size_t r = 0; r < matrix.num_rows(); ++r) {
+        rows.add_row(matrix.row(r), matrix.labels()[r]);
+      }
       master.add_deduplicated(rows);
       cell_sets.push_back(std::move(rows));
     }

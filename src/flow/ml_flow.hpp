@@ -15,11 +15,6 @@ namespace caml {
 struct MlOptions {
   ForestParams forest;
   MatrixOptions matrix;
-  /// Training rows sampled per training cell before deduplication
-  /// (0 = use every row; identical rows across cells merge into one
-  /// weighted row, so full data is the affordable default).
-  std::size_t max_train_rows_per_cell = 0;
-  std::uint64_t seed = 0xCA11u;
   /// Classifier factory; defaults to the paper's Random Forest. Used by
   /// the algorithm-comparison bench to swap in the baselines.
   std::function<std::unique_ptr<Classifier>()> make_classifier;
@@ -27,9 +22,10 @@ struct MlOptions {
   std::unique_ptr<Classifier> new_classifier() const;
 };
 
-/// Assembles the training dataset of a group from the labeled CA-matrix
-/// of each training cell (sampled per MlOptions). All cells must share
-/// the group's (inputs, transistors) shape.
+/// Assembles the training dataset of a group from every labeled
+/// CA-matrix row of each training cell; identical rows across cells
+/// merge into one weighted row. All cells must share the group's
+/// (inputs, transistors) shape.
 Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_cells,
                            const MlOptions& options);
 

@@ -16,33 +16,6 @@ void Dataset::add_row(const std::int8_t* row, std::uint8_t label, std::uint32_t 
   weights_.push_back(weight);
 }
 
-void Dataset::add_sampled(const Dataset& other, std::size_t max_rows, Rng& rng) {
-  CAML_ASSERT(other.num_features() == num_features_);
-  if (max_rows == 0 || other.num_rows() <= max_rows) {
-    for (std::size_t r = 0; r < other.num_rows(); ++r) {
-      add_row(other.row(r), other.label(r), other.weight(r));
-    }
-    return;
-  }
-  // Stratified: sample each class proportionally, at least one row of a
-  // class that exists (rare detections must not vanish).
-  std::vector<std::size_t> pos, neg;
-  for (std::size_t r = 0; r < other.num_rows(); ++r) {
-    (other.label(r) ? pos : neg).push_back(r);
-  }
-  const double ratio = static_cast<double>(max_rows) / static_cast<double>(other.num_rows());
-  const auto take = [&](std::vector<std::size_t>& idx) {
-    if (idx.empty()) return;
-    std::size_t k = static_cast<std::size_t>(static_cast<double>(idx.size()) * ratio);
-    k = std::clamp<std::size_t>(k, 1, idx.size());
-    for (std::size_t i : rng.sample_indices(idx.size(), k)) {
-      add_row(other.row(idx[i]), other.label(idx[i]), other.weight(idx[i]));
-    }
-  };
-  take(pos);
-  take(neg);
-}
-
 namespace {
 
 constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;

@@ -4,8 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace caml {
 
 /// Dense binary-classification dataset with small-integer features —
@@ -33,12 +31,6 @@ class Dataset {
 
   /// Appends one row; `row` must hold num_features() values.
   void add_row(const std::int8_t* row, std::uint8_t label, std::uint32_t weight = 1);
-
-  /// Appends up to max_rows rows of `other` chosen by a stratified
-  /// sample that preserves the positive/negative label ratio
-  /// (max_rows == 0 appends everything). Weights are carried over;
-  /// the sample is uniform over rows, not over weight.
-  void add_sampled(const Dataset& other, std::size_t max_rows, Rng& rng);
 
   /// Appends every row of `other`, merging rows whose (features, label)
   /// already exist in this dataset by adding their weights. Distinct

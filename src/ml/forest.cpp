@@ -40,7 +40,7 @@ void RandomForest::grow(const Dataset& data, std::size_t count, std::uint64_t se
     sample = std::min(sample, params_.max_samples_per_tree);
   }
 
-  // All per-tree randomness (bootstrap / subset indices, then the tree's
+  // All per-tree randomness (subset indices, then the tree's
   // split-sampling seed) is drawn serially from the single Rng stream in
   // the exact order the serial loop used, so the fitted forest is
   // bit-identical for any thread count.
@@ -49,12 +49,7 @@ void RandomForest::grow(const Dataset& data, std::size_t count, std::uint64_t se
   trees_.reserve(first + count);
   for (std::size_t t = 0; t < count; ++t) {
     std::vector<std::uint32_t>& indices = draws[t];
-    if (params_.bootstrap) {
-      indices.resize(sample);
-      for (std::uint32_t& i : indices) {
-        i = static_cast<std::uint32_t>(rng.below(data.num_rows()));
-      }
-    } else if (sample < data.num_rows()) {
+    if (sample < data.num_rows()) {
       // Capped: random subset without replacement, fresh per tree.
       for (std::size_t i : rng.sample_indices(data.num_rows(), sample)) {
         indices.push_back(static_cast<std::uint32_t>(i));
@@ -73,7 +68,7 @@ void RandomForest::grow(const Dataset& data, std::size_t count, std::uint64_t se
   // never pay for the rows no tree samples. Each tree's draw is remapped
   // to view rows; its order is kept, so the fit is unchanged.
   const ColumnView columns = [&] {
-    if (!params_.bootstrap && sample == data.num_rows()) return ColumnView(data);
+    if (sample == data.num_rows()) return ColumnView(data);
     constexpr std::uint32_t kUndrawn = ~std::uint32_t{0};
     std::vector<std::uint32_t> position(data.num_rows(), kUndrawn);
     for (const std::vector<std::uint32_t>& indices : draws) {

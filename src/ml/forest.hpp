@@ -11,16 +11,13 @@ struct LoadedForest;
 struct ForestParams {
   std::size_t num_trees = 20;
   TreeParams tree;
-  /// Per-tree sample cap over distinct (deduplicated) rows; 0 = no cap.
-  /// With weighted dedup the full data is usually affordable, so the
-  /// default is uncapped.
+  /// Per-tree row cap over distinct (deduplicated) rows; 0 = no cap.
+  /// An uncapped tree fits every row; a capped one fits a fresh random
+  /// subset of that many rows, drawn without replacement. Diversity
+  /// otherwise comes from per-split feature subsampling only. With
+  /// weighted dedup the full data is usually affordable, so the default
+  /// is uncapped.
   std::size_t max_samples_per_tree = 0;
-  /// true: classic bagging (sampling with replacement). false (default):
-  /// every tree sees the whole (capped) training set and diversity comes
-  /// from per-split feature subsampling only — on the small per-group
-  /// corpora of this reproduction, bootstrap dropout of singleton rows
-  /// measurably hurts accuracy.
-  bool bootstrap = false;
   /// max_features of 0 means sqrt(num_features), resolved at fit time.
   std::uint64_t seed = 0xF0535Dull;
   /// Worker threads for fit (0 = one per hardware thread, 1 = serial).
@@ -30,9 +27,9 @@ struct ForestParams {
   std::size_t jobs = 0;
 };
 
-/// Random Forest: bagged CART trees with per-split feature subsampling
-/// and soft-vote aggregation (summed leaf class frequencies) — the
-/// paper's classifier of choice.
+/// Random Forest: CART trees with per-split feature subsampling and
+/// soft-vote aggregation (summed leaf class frequencies) — the paper's
+/// classifier of choice.
 class RandomForest : public Classifier {
  public:
   explicit RandomForest(ForestParams params = {}) : params_(params) {}

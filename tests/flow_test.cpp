@@ -63,18 +63,8 @@ TEST(MlFlow, TrainingSetWidthMatchesGroupShape) {
   EXPECT_EQ(data.num_features(), matrix_feature_count(2, 4, options.matrix));
   EXPECT_GT(data.num_rows(), 0u);
   EXPECT_GT(data.num_positive(), 0u);
-}
-
-TEST(MlFlow, RowSamplingCapsTrainingRows) {
-  const Technology tech = technology_28soi();
-  const CharacterizedCell a = characterize(build_function("NAND2", tech), tech);
-  MlOptions capped;
-  capped.max_train_rows_per_cell = 100;
-  const Dataset small = build_training_set({&a}, capped);
-  EXPECT_LE(small.num_rows(), 110u);
-  MlOptions uncapped;
-  uncapped.max_train_rows_per_cell = 0;
-  const Dataset full = build_training_set({&a}, uncapped);
+  // One cell trains on every one of its (D+1)·S CA-matrix rows.
+  const Dataset full = build_training_set({&a}, options);
   EXPECT_EQ(full.num_rows(), (a.model.defects.size() + 1) * a.model.num_stimuli());
 }
 

@@ -57,34 +57,6 @@ TEST(Dataset, AddRowAndAccessors) {
   EXPECT_EQ(data.num_positive(), 1u);
 }
 
-TEST(Dataset, SampledPreservesClassPresence) {
-  Rng rng(1);
-  Dataset source(2);
-  // 990 negatives, 10 positives.
-  for (int i = 0; i < 1000; ++i) {
-    const std::int8_t row[] = {static_cast<std::int8_t>(i % 3), 1};
-    source.add_row(row, i < 10 ? 1 : 0);
-  }
-  Dataset sampled(2);
-  sampled.add_sampled(source, 100, rng);
-  EXPECT_LE(sampled.num_rows(), 110u);
-  EXPECT_GE(sampled.num_rows(), 90u);
-  // The rare positive class must survive the sampling.
-  EXPECT_GE(sampled.num_positive(), 1u);
-}
-
-TEST(Dataset, SampledCopiesAllWhenUnderCap) {
-  Rng rng(2);
-  Dataset source(1);
-  const std::int8_t row[] = {1};
-  source.add_row(row, 1);
-  Dataset out(1);
-  out.add_sampled(source, 100, rng);
-  EXPECT_EQ(out.num_rows(), 1u);
-  out.add_sampled(source, 0, rng);  // 0 = everything
-  EXPECT_EQ(out.num_rows(), 2u);
-}
-
 TEST(DecisionTree, LearnsAndFunction) {
   Rng rng(3);
   const Dataset train = make_and_dataset(2000, rng);
@@ -192,17 +164,6 @@ TEST(RandomForest, EmptyLeafVotesAreNeutralNotNaN) {
   const double p = loaded.forest.predict_product(ProductView::row_block(row, 1, 1)).proba.at(0);
   EXPECT_FALSE(std::isnan(p));
   EXPECT_DOUBLE_EQ(p, (0.5 + 0.75) / 2.0);
-}
-
-TEST(RandomForest, BootstrapModeStillLearns) {
-  Rng rng(9);
-  const Dataset train = make_and_dataset(2000, rng);
-  const Dataset test = make_and_dataset(500, rng);
-  ForestParams params;
-  params.bootstrap = true;
-  RandomForest forest(params);
-  forest.fit(train);
-  EXPECT_GT(accuracy(test.labels(), forest.predict_all(test)), 0.95);
 }
 
 TEST(Knn, LearnsAndFunction) {
@@ -665,51 +626,42 @@ TEST(RandomForest, FitOverDrawnRowsEqualsFullTranspose) {
                  static_cast<std::uint32_t>(1 + data_rng.below(3)));
   }
   const ColumnView full(data);
-  for (const bool bootstrap : {false, true}) {
-    ForestParams params;
-    params.num_trees = 5;
-    params.max_samples_per_tree = 100;
-    params.bootstrap = bootstrap;
-    params.seed = 11;
-    params.jobs = 2;
-    RandomForest forest(params);
-    forest.fit(data);
+  ForestParams params;
+  params.num_trees = 5;
+  params.max_samples_per_tree = 100;
+  params.seed = 11;
+  params.jobs = 2;
+  RandomForest forest(params);
+  forest.fit(data);
 
-    // grow()'s draw order: per tree, its row sample, then its seed.
-    Rng rng(params.seed);
-    TreeParams tp = params.tree;
-    tp.max_features = 3;  // lround(sqrt(10))
-    std::vector<std::uint32_t> drawn_rows;
-    ASSERT_EQ(forest.trees().size(), params.num_trees);
-    for (const DecisionTree& fitted : forest.trees()) {
-      std::vector<std::uint32_t> indices;
-      if (bootstrap) {
-        for (std::size_t i = 0; i < params.max_samples_per_tree; ++i) {
-          indices.push_back(static_cast<std::uint32_t>(rng.below(data.num_rows())));
-        }
-      } else {
-        for (std::size_t i : rng.sample_indices(data.num_rows(), params.max_samples_per_tree)) {
-          indices.push_back(static_cast<std::uint32_t>(i));
-        }
-      }
-      drawn_rows.insert(drawn_rows.end(), indices.begin(), indices.end());
-      DecisionTree reference(tp, rng.next());
-      reference.fit_indices(full, indices);
-      ASSERT_EQ(fitted.num_nodes(), reference.num_nodes()) << "bootstrap=" << bootstrap;
-      for (std::size_t i = 0; i < fitted.num_nodes(); ++i) {
-        const auto a = fitted.node_record(i);
-        const auto b = reference.node_record(i);
-        ASSERT_TRUE(a.left == b.left && a.right == b.right && a.feature == b.feature &&
-                    a.threshold == b.threshold && a.count0 == b.count0 && a.count1 == b.count1)
-            << "bootstrap=" << bootstrap << " node " << i;
-      }
+  // grow()'s draw order: per tree, its row sample, then its seed.
+  Rng rng(params.seed);
+  TreeParams tp = params.tree;
+  tp.max_features = 3;  // lround(sqrt(10))
+  std::vector<std::uint32_t> drawn_rows;
+  ASSERT_EQ(forest.trees().size(), params.num_trees);
+  for (const DecisionTree& fitted : forest.trees()) {
+    std::vector<std::uint32_t> indices;
+    for (std::size_t i : rng.sample_indices(data.num_rows(), params.max_samples_per_tree)) {
+      indices.push_back(static_cast<std::uint32_t>(i));
     }
-    // The premise: the drawn rows miss some of the extreme values.
-    std::sort(drawn_rows.begin(), drawn_rows.end());
-    drawn_rows.erase(std::unique(drawn_rows.begin(), drawn_rows.end()), drawn_rows.end());
-    const ColumnView drawn(data, drawn_rows);
-    EXPECT_TRUE(drawn.min_value() > full.min_value() || drawn.max_value() < full.max_value());
+    drawn_rows.insert(drawn_rows.end(), indices.begin(), indices.end());
+    DecisionTree reference(tp, rng.next());
+    reference.fit_indices(full, indices);
+    ASSERT_EQ(fitted.num_nodes(), reference.num_nodes());
+    for (std::size_t i = 0; i < fitted.num_nodes(); ++i) {
+      const auto a = fitted.node_record(i);
+      const auto b = reference.node_record(i);
+      ASSERT_TRUE(a.left == b.left && a.right == b.right && a.feature == b.feature &&
+                  a.threshold == b.threshold && a.count0 == b.count0 && a.count1 == b.count1)
+          << "node " << i;
+    }
   }
+  // The premise: the drawn rows miss some of the extreme values.
+  std::sort(drawn_rows.begin(), drawn_rows.end());
+  drawn_rows.erase(std::unique(drawn_rows.begin(), drawn_rows.end()), drawn_rows.end());
+  const ColumnView drawn(data, drawn_rows);
+  EXPECT_TRUE(drawn.min_value() > full.min_value() || drawn.max_value() < full.max_value());
 }
 
 }  // namespace

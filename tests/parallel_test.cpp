@@ -160,27 +160,23 @@ TEST(ParallelDeterminism, ForestFitMatchesSerialForAnyJobs) {
 
   ForestParams base;
   base.num_trees = 12;
-  for (const bool bootstrap : {false, true}) {
-    for (const std::size_t cap : {std::size_t{0}, std::size_t{400}}) {
-      base.bootstrap = bootstrap;
-      base.max_samples_per_tree = cap;
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{400}}) {
+    base.max_samples_per_tree = cap;
 
-      const auto fit = [&](std::size_t jobs) {
-        ForestParams params = base;
-        params.jobs = jobs;
-        RandomForest forest(params);
-        forest.fit(train);
-        std::ostringstream os;
-        write_forest(os, forest, train.num_features());
-        return std::make_pair(os.str(), forest.predict_all(test));
-      };
-      const auto serial = fit(1);
-      for (const std::size_t jobs : {2, 4, 8}) {
-        const auto parallel = fit(jobs);
-        EXPECT_EQ(serial.first, parallel.first)
-            << "bootstrap=" << bootstrap << " cap=" << cap << " jobs=" << jobs;
-        EXPECT_EQ(serial.second, parallel.second) << "jobs=" << jobs;
-      }
+    const auto fit = [&](std::size_t jobs) {
+      ForestParams params = base;
+      params.jobs = jobs;
+      RandomForest forest(params);
+      forest.fit(train);
+      std::ostringstream os;
+      write_forest(os, forest, train.num_features());
+      return std::make_pair(os.str(), forest.predict_all(test));
+    };
+    const auto serial = fit(1);
+    for (const std::size_t jobs : {2, 4, 8}) {
+      const auto parallel = fit(jobs);
+      EXPECT_EQ(serial.first, parallel.first) << "cap=" << cap << " jobs=" << jobs;
+      EXPECT_EQ(serial.second, parallel.second) << "jobs=" << jobs;
     }
   }
 }

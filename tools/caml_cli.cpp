@@ -39,6 +39,7 @@
 #include "active/learner.hpp"
 #include "camodel/model_io.hpp"
 #include "camodel/pattern_selection.hpp"
+#include "flow/characterize.hpp"
 #include "flow/checkpoint.hpp"
 #include "flow/hybrid.hpp"
 #include "flow/model_store.hpp"
@@ -261,10 +262,7 @@ Args parse_args(int argc, char** argv) {
 }
 
 StimulusPolicy policy_for(const Args& args, const Cell& cell) {
-  if (!args.policy) {
-    return cell.num_inputs() <= 4 ? StimulusPolicy::kExhaustivePairs
-                                  : StimulusPolicy::kSingleInputChange;
-  }
+  if (!args.policy) return PolicyProfile{}.policy_for(cell.num_inputs());
   if (*args.policy == "static") return StimulusPolicy::kStaticOnly;
   if (*args.policy == "single") return StimulusPolicy::kSingleInputChange;
   if (*args.policy == "exhaustive") return StimulusPolicy::kExhaustivePairs;
