@@ -6,7 +6,7 @@
 #   * kill sweep — SIGKILLs `caml characterize` at the Nth persistence
 #     operation for N = 1, 2, ... (via CAML_FAULT="*:kill:N"), resumes
 #     with --resume, and byte-compares the final model directory against
-#     an uninterrupted reference run;
+#     an uninterrupted reference run, serially and with --jobs 3;
 #   * corrupt-store rejection — a bit-flipped model store must make
 #     `caml serve` refuse startup with exit code 3 and `caml predict`
 #     fail loudly;
@@ -58,30 +58,37 @@ grep -q '^\.SUBCKT' "$WORK/small.sp" || { echo "FAIL: no cells extracted"; exit 
 echo "== kill sweep: SIGKILL at the Nth persistence op, resume, byte-compare"
 "$CAML" characterize "$WORK/small.sp" -o "$WORK/ref" --jobs 1 --checkpoint-every 1 \
   >/dev/null 2>&1
-completed_without_kill=0
-for n in $(seq 1 24); do
-  rm -rf "$WORK/run"
-  status=0
-  CAML_FAULT="*:kill:$n" "$CAML" characterize "$WORK/small.sp" -o "$WORK/run" \
-    --jobs 1 --checkpoint-every 1 >/dev/null 2>&1 || status=$?
-  if [ "$status" = 0 ]; then
-    # The run outlived the fault: every persistence op < n already
-    # survived a kill, so the sweep is complete.
-    completed_without_kill=1
+# The serial pass walks the persistence ops in a fixed order. The --jobs 3
+# pass races the three cells' artifact writes and journal records; the
+# fault counter is mutex-guarded, so the op count (and the bound) is the
+# same, while which write op n hits depends on the schedule.
+for jobs in 1 3; do
+  echo "   --jobs $jobs"
+  completed_without_kill=0
+  for n in $(seq 1 24); do
+    rm -rf "$WORK/run"
+    status=0
+    CAML_FAULT="*:kill:$n" "$CAML" characterize "$WORK/small.sp" -o "$WORK/run" \
+      --jobs "$jobs" --checkpoint-every 1 >/dev/null 2>&1 || status=$?
+    if [ "$status" = 0 ]; then
+      # The run outlived the fault: every persistence op < n already
+      # survived a kill, so the sweep is complete.
+      completed_without_kill=1
+      diff -r "$WORK/ref" "$WORK/run" >/dev/null \
+        || { echo "FAIL: un-killed --jobs $jobs run at n=$n differs from reference"; exit 1; }
+      break
+    fi
+    [ "$status" = 137 ] \
+      || { echo "FAIL: --jobs $jobs kill:$n exited with $status, expected SIGKILL (137)"; exit 1; }
+    "$CAML" characterize "$WORK/small.sp" -o "$WORK/run" --resume \
+      --jobs "$jobs" --checkpoint-every 1 >/dev/null 2>&1 \
+      || { echo "FAIL: --jobs $jobs resume after kill:$n failed"; exit 1; }
     diff -r "$WORK/ref" "$WORK/run" >/dev/null \
-      || { echo "FAIL: un-killed run at n=$n differs from reference"; exit 1; }
-    break
-  fi
-  [ "$status" = 137 ] \
-    || { echo "FAIL: kill:$n exited with $status, expected SIGKILL (137)"; exit 1; }
-  "$CAML" characterize "$WORK/small.sp" -o "$WORK/run" --resume \
-    --jobs 1 --checkpoint-every 1 >/dev/null 2>&1 \
-    || { echo "FAIL: resume after kill:$n failed"; exit 1; }
-  diff -r "$WORK/ref" "$WORK/run" >/dev/null \
-    || { echo "FAIL: resumed directory differs from reference after kill:$n"; diff -r "$WORK/ref" "$WORK/run" | head; exit 1; }
+      || { echo "FAIL: resumed directory differs from reference after --jobs $jobs kill:$n"; diff -r "$WORK/ref" "$WORK/run" | head; exit 1; }
+  done
+  [ "$completed_without_kill" = 1 ] \
+    || { echo "FAIL: --jobs $jobs sweep never ran past the last persistence op (raise the bound)"; exit 1; }
 done
-[ "$completed_without_kill" = 1 ] \
-  || { echo "FAIL: sweep never ran past the last persistence op (raise the bound)"; exit 1; }
 
 echo "== generation-flow kill sweeps: SIGKILL mid-acquisition, resume, byte-compare"
 # Three more cells as the target half; the generation loop journals each

@@ -20,28 +20,17 @@ std::string artifact_path(const std::string& dir, const std::string& cell_name) 
   return (std::filesystem::path(dir) / (cell_name + ".camodel")).string();
 }
 
-/// Rebuilds a CharacterizedCell from its checkpoint artifact. The model
-/// text round-trips exactly; canonical form and sim config are pure
-/// recomputations, so the result is bit-identical to characterize_cell.
-std::optional<CharacterizedCell> load_checkpointed_cell(const LibraryCell& cell,
-                                                        const Technology& tech,
-                                                        const CharacterizeOptions& options) {
-  const std::string path = artifact_path(options.checkpoint.dir, cell.cell.name());
-  try {
-    CharacterizedCell out;
-    out.source = cell;
-    out.model = read_ca_model_file(path, cell.cell);
-    out.sim = tech.sim;
-    out.canonical = canonicalize(cell.cell, out.sim);
-    return out;
-  } catch (const Error& e) {
-    log_warn() << "checkpoint artifact for " << cell.cell.name()
-               << " is missing or corrupt (" << e.what() << "); re-characterizing";
-    return std::nullopt;
-  }
-}
-
 }  // namespace
+
+CharacterizedCell read_characterized_cell(const LibraryCell& cell, const Technology& tech,
+                                          const std::string& dir) {
+  CharacterizedCell out;
+  out.source = cell;
+  out.model = read_ca_model_file(artifact_path(dir, cell.cell.name()), cell.cell);
+  out.sim = tech.sim;
+  out.canonical = canonicalize(cell.cell, out.sim);
+  return out;
+}
 
 CharacterizedCell characterize_cell(const LibraryCell& cell, const Technology& tech,
                                     const CharacterizeOptions& options) {
@@ -94,7 +83,12 @@ std::vector<CharacterizedCell> characterize_library(const Library& library,
         const Stopwatch watch;
         std::optional<CharacterizedCell> out;
         if (journal && journal->completed(cell.cell.name())) {
-          out = load_checkpointed_cell(cell, library.technology, options);
+          try {
+            out = read_characterized_cell(cell, library.technology, options.checkpoint.dir);
+          } catch (const Error& e) {
+            log_warn() << "checkpoint artifact for " << cell.cell.name()
+                       << " is missing or corrupt (" << e.what() << "); re-characterizing";
+          }
         }
         if (!out) {
           out = characterize_cell(cell, library.technology, options);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "camatrix/canonical.hpp"
@@ -59,6 +60,14 @@ struct CharacterizeOptions {
 /// library — the source of both training data and ground truth.
 std::vector<CharacterizedCell> characterize_library(const Library& library,
                                                     const CharacterizeOptions& options = {});
+
+/// Rebuilds a characterized cell from its `<dir>/<cell>.camodel`
+/// artifact: the model text round-trips exactly, and the canonical form
+/// and sim config (`tech.sim`) are pure recomputations, so the result is
+/// bit-identical to characterize_cell. Throws caml::Error if the
+/// artifact is missing or corrupt.
+CharacterizedCell read_characterized_cell(const LibraryCell& cell, const Technology& tech,
+                                          const std::string& dir);
 
 /// Characterizes a single cell under a technology.
 CharacterizedCell characterize_cell(const LibraryCell& cell, const Technology& tech,

@@ -8,7 +8,8 @@
 namespace caml {
 
 /// Crash-safe progress options shared by the long-running flows
-/// (characterize_library, active::run_active_flow, `caml characterize`).
+/// (characterize_library, which `caml characterize` runs, and
+/// active::run_active_flow).
 struct CheckpointOptions {
   /// Directory holding the journal and the per-unit artifacts; empty
   /// disables checkpointing entirely.

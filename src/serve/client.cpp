@@ -18,6 +18,9 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Cap on one overload backoff sleep, before jitter.
+constexpr int kOverloadBackoffCapMs = 2000;
+
 std::uint64_t default_retry_seed() {
   static std::atomic<std::uint64_t> counter{0};
   return splitmix64((static_cast<std::uint64_t>(::getpid()) << 20) ^
@@ -44,9 +47,8 @@ int overload_backoff_ms(std::uint64_t seed, int attempt, int hint_ms, int base_m
                                                            jitter));
 }
 
-Client::Client(ClientOptions options) : options_(std::move(options)) {
-  retry_seed_ = options_.retry_seed != 0 ? options_.retry_seed : default_retry_seed();
-}
+Client::Client(ClientOptions options)
+    : options_(std::move(options)), retry_seed_(default_retry_seed()) {}
 
 void Client::ensure_connected() {
   if (fd_.valid()) return;
@@ -113,7 +115,7 @@ Frame Client::roundtrip(Frame request, MsgType expected_type) {
       const int wait =
           overload_backoff_ms(retry_seed_, overload_attempt++,
                               static_cast<int>(e.retry_after_ms()), options_.backoff_ms,
-                              options_.overload_backoff_cap_ms);
+                              kOverloadBackoffCapMs);
       if (overload_wait_spent_ms + wait > options_.overload_retry_budget_ms) throw;
       overload_wait_spent_ms += wait;
       std::this_thread::sleep_for(std::chrono::milliseconds(wait));

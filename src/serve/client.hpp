@@ -32,13 +32,6 @@ struct ClientOptions {
   /// at which point the RemoteError propagates. 0 disables overload
   /// retries entirely.
   int overload_retry_budget_ms = 1000;
-  /// Cap on one overload backoff sleep, before jitter.
-  int overload_backoff_cap_ms = 2000;
-  /// Seed for the deterministic backoff jitter; 0 derives a per-client
-  /// seed from the pid and a process-local counter, so a fleet of
-  /// clients restarted together decorrelates instead of re-stampeding
-  /// the server in lockstep.
-  std::uint64_t retry_seed = 0;
   /// Per-request compute deadline shipped to the server (protocol v2):
   /// when > 0, predict requests carry this budget and the server sheds
   /// them with DEADLINE_EXCEEDED instead of computing answers nobody is
@@ -128,7 +121,11 @@ class Client {
   ClientOptions options_;
   Fd fd_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t retry_seed_ = 0;  ///< resolved from options at construction
+  /// Seed for the overload backoff jitter, derived per client from the
+  /// pid and a process-local counter, so a fleet of clients restarted
+  /// together decorrelates instead of re-stampeding the server in
+  /// lockstep.
+  std::uint64_t retry_seed_;
 };
 
 }  // namespace caml::serve

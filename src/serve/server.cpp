@@ -29,6 +29,13 @@ constexpr std::size_t kReadBudgetPerRound = 256 * 1024;
 /// request bytes) so the final frame arrives ahead of a clean FIN
 /// instead of being destroyed by an RST.
 constexpr std::int64_t kHalfCloseDrainUs = 250'000;
+/// Decoded PREDICT requests allowed to wait for the compute plane.
+/// Beyond it, requests are answered kOverloaded (the connection stays
+/// open) — backpressure for deeply pipelined clients.
+constexpr std::size_t kMaxPendingPredicts = 1024;
+/// Deadline for a stalled response write (no progress while bytes are
+/// queued for the peer).
+constexpr std::int64_t kWriteTimeoutMs = 5000;
 
 Frame error_frame(std::uint64_t request_id, ErrorCode code, const std::string& message,
                   std::uint32_t retry_after_ms = 0) {
@@ -322,7 +329,7 @@ void Server::worker_loop() {
           outcomes.push_back(std::move(out));
         }
       } else {
-        outcomes = answer_predict_batch(*snap, options_.policy, std::move(batch));
+        outcomes = answer_predict_batch(*snap, PolicyProfile{}, std::move(batch));
       }
       bool faulted = false;
       for (const PredictOutcome& o : outcomes) {
@@ -390,7 +397,7 @@ void Server::enqueue_encoded(Connection& conn, std::uint64_t seq, std::string by
   }
   if (was_empty) {
     conn.write_deadline_us =
-        monotonic_us() + static_cast<std::int64_t>(options_.write_timeout_ms) * 1000;
+        monotonic_us() + kWriteTimeoutMs * 1000;
     // Try the wire immediately — most responses fit the socket buffer
     // and never wait for the next poll round.
     handle_writable(conn);
@@ -448,7 +455,7 @@ void Server::dispatch_frame(Connection& conn, Frame frame) {
       bool latency_shed = false;
       {
         std::lock_guard<std::mutex> lock(jobs_mutex_);
-        if (job_queue_.size() >= options_.max_pending_predicts) {
+        if (job_queue_.size() >= kMaxPendingPredicts) {
           queue_full = true;  // hard memory bound, checked first
         } else if (sojourn_over_target_locked()) {
           // Latency-signal shedding: the queue's recent p99 sojourn
@@ -562,7 +569,7 @@ void Server::handle_writable(Connection& conn) {
     if (r.would_block) return;
     conn.out_off += r.bytes;
     conn.write_deadline_us =
-        monotonic_us() + static_cast<std::int64_t>(options_.write_timeout_ms) * 1000;
+        monotonic_us() + kWriteTimeoutMs * 1000;
     if (conn.out_off < front.bytes.size()) continue;
     if (front.started_us >= 0) {
       stats_.record_latency_us(monotonic_us() - front.started_us);
@@ -700,7 +707,7 @@ void Server::sweep_deadlines(std::int64_t now_us) {
     }
     if (!conn->out.empty() && now_us >= conn->write_deadline_us) {
       log_warn() << "dropping connection: write stalled past "
-                 << options_.write_timeout_ms << " ms";
+                 << kWriteTimeoutMs << " ms";
       close_connection(i);
       continue;
     }

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "flow/characterize.hpp"
 #include "flow/model_store.hpp"
 #include "serve/batch.hpp"
 #include "serve/protocol.hpp"
@@ -42,15 +41,8 @@ struct ServerOptions {
   /// decoded PREDICT requests from all connections and a worker drains
   /// up to max_batch of them at once under one store snapshot.
   std::size_t max_batch = 32;
-  /// Decoded PREDICT requests allowed to wait for the compute plane.
-  /// Beyond it, requests are answered kOverloaded (the connection stays
-  /// open) — backpressure for deeply pipelined clients.
-  std::size_t max_pending_predicts = 1024;
   /// Per-frame read deadline once bytes of a frame started arriving.
   int read_timeout_ms = 5000;
-  /// Deadline for a stalled response write (no progress while bytes are
-  /// queued for the peer).
-  int write_timeout_ms = 5000;
   /// How long a keep-alive connection may sit idle between requests
   /// before the server closes it. Also bounds the shutdown drain of
   /// in-flight connections: stop() never waits longer than this for a
@@ -63,13 +55,10 @@ struct ServerOptions {
   /// are shed with kOverloaded before they enter the queue — the queue
   /// is already slower than anyone's patience, so adding to it only
   /// manufactures future DEADLINE_EXCEEDED answers. 0 disables the
-  /// policy (the fixed max_pending_predicts bound still applies either
-  /// way). `caml serve` defaults this on; the library default stays off
-  /// so embedded/test servers behave deterministically.
+  /// policy (the fixed bound of 1024 pending PREDICTs still applies
+  /// either way). `caml serve` defaults this on; the library default
+  /// stays off so embedded/test servers behave deterministically.
   int sojourn_target_ms = 0;
-  /// Stimulus-policy schedule for predictions (same input-count heuristic
-  /// as `caml predict` without --policy).
-  PolicyProfile policy;
 };
 
 /// Long-lived inference daemon: loads a trained GroupModelStore once and

@@ -36,6 +36,8 @@ struct SimConfig {
 
   /// Strength class of a transistor under this configuration.
   int device_strength(const Transistor& t) const;
+
+  bool operator==(const SimConfig&) const = default;
 };
 
 /// Event-free switch-level simulator for one Cell.

@@ -217,6 +217,19 @@ TEST(CharacterizeCheckpoint, ResumeReproducesUninterruptedRunExactly) {
   ref_opts.checkpoint.every = 1;
   const std::vector<CharacterizedCell> reference = characterize_library(lib, ref_opts);
 
+  // The artifact reader (resume and `caml train`'s input) rebuilds every
+  // cell the run returned.
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const CharacterizedCell back =
+        read_characterized_cell(lib.cells[i], lib.technology, ref_opts.checkpoint.dir);
+    EXPECT_EQ(ca_model_to_string(back.model, back.source.cell),
+              ca_model_to_string(reference[i].model, reference[i].source.cell))
+        << lib.cells[i].cell.name();
+    EXPECT_EQ(back.canonical.structure_signature, reference[i].canonical.structure_signature);
+    EXPECT_EQ(back.canonical.reduced_signature, reference[i].canonical.reduced_signature);
+    EXPECT_TRUE(back.sim == reference[i].sim);
+  }
+
   // Interrupted run: only the first cell completes (a sub-library stands
   // in for a crash — the journal and artifact state is exactly what a
   // kill after cell 1 leaves behind, with every=1).

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "ml/forest_io.hpp"
-#include "ml/metrics.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 

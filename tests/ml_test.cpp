@@ -11,13 +11,15 @@
 #include "ml/forest_io.hpp"
 #include "ml/knn.hpp"
 #include "ml/linear.hpp"
-#include "ml/metrics.hpp"
 #include "ml/tree.hpp"
 #include "util/error.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace caml {
 namespace {
+
+using testing::accuracy;
 
 // Synthetic dataset: label = f(features) for a known boolean function
 // over small-int features, plus optional noise.
@@ -244,27 +246,8 @@ TEST(Ridge, HandlesConstantColumn) {
   EXPECT_EQ(clf.predict(q0), 0);
 }
 
-TEST(Metrics, ConfusionMatrixAndScores) {
-  const std::vector<std::uint8_t> truth = {1, 1, 1, 0, 0, 0, 0, 1};
-  const std::vector<std::uint8_t> pred = {1, 0, 1, 0, 0, 1, 0, 1};
-  const ConfusionMatrix cm = confusion(truth, pred);
-  EXPECT_EQ(cm.true_positive, 3u);
-  EXPECT_EQ(cm.false_negative, 1u);
-  EXPECT_EQ(cm.false_positive, 1u);
-  EXPECT_EQ(cm.true_negative, 3u);
-  EXPECT_DOUBLE_EQ(cm.accuracy(), 0.75);
-  EXPECT_DOUBLE_EQ(cm.precision(), 0.75);
-  EXPECT_DOUBLE_EQ(cm.recall(), 0.75);
-  EXPECT_NEAR(cm.f1(), 0.75, 1e-12);
-  EXPECT_NE(cm.to_string().find("acc=75.00%"), std::string::npos);
-}
-
 TEST(Metrics, EmptyAndDegenerateCases) {
-  ConfusionMatrix empty;
-  EXPECT_EQ(empty.accuracy(), 0.0);
-  EXPECT_EQ(empty.precision(), 0.0);
-  EXPECT_EQ(empty.recall(), 0.0);
-  EXPECT_EQ(empty.f1(), 0.0);
+  EXPECT_EQ(accuracy({}, {}), 0.0);
   EXPECT_THROW(accuracy({1}, {1, 0}), Error);
 }
 

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "ml/forest_walk.hpp"
+#include "util/error.hpp"
 
 namespace caml::testing {
 
@@ -126,6 +127,17 @@ ProductVotes row_wise_votes(const RandomForest& forest, const std::int8_t* rows,
     out.margin.push_back(vote_margin(vote1, trees));
   }
   return out;
+}
+
+double accuracy(const std::vector<std::uint8_t>& truth,
+                const std::vector<std::uint8_t>& predicted) {
+  CAML_ASSERT(truth.size() == predicted.size());
+  if (truth.empty()) return 0.0;
+  std::size_t equal = 0;
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    equal += (truth[i] != 0) == (predicted[i] != 0) ? 1 : 0;
+  }
+  return static_cast<double>(equal) / static_cast<double>(truth.size());
 }
 
 std::string hexfloats(const std::vector<double>& values) {

@@ -48,6 +48,11 @@ SmallCorpus make_small_corpus();
 ProductVotes row_wise_votes(const RandomForest& forest, const std::int8_t* rows, std::size_t n,
                             std::size_t stride);
 
+/// Share of equal labels in [0, 1] (0 when empty); the lengths must
+/// match.
+double accuracy(const std::vector<std::uint8_t>& truth,
+                const std::vector<std::uint8_t>& predicted);
+
 /// One hexfloat per line: any floating-point difference, down to the
 /// last bit, shows up as a string difference.
 std::string hexfloats(const std::vector<double>& values);

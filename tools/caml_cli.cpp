@@ -13,8 +13,6 @@
 //   caml query <cell.sp> --socket PATH       predict via a running daemon
 //
 // Common options:
-//   --policy static|single|exhaustive   stimulus set (default exhaustive<=4
-//                                       inputs, single above)
 //   --trees N                           forest size for train (default 20)
 //   --jobs N                            worker threads (default: one per
 //                                       hardware thread; 1 = serial)
@@ -40,7 +38,6 @@
 #include "camodel/model_io.hpp"
 #include "camodel/pattern_selection.hpp"
 #include "flow/characterize.hpp"
-#include "flow/checkpoint.hpp"
 #include "flow/hybrid.hpp"
 #include "flow/model_store.hpp"
 #include "netlist/spice_parser.hpp"
@@ -66,7 +63,6 @@ struct Args {
   std::vector<std::string> positional;
   std::string out;
   std::string models;
-  std::optional<std::string> policy;
   std::size_t trees = 20;
   std::size_t jobs = std::thread::hardware_concurrency();
   bool inter_shorts = false;
@@ -108,11 +104,11 @@ struct Args {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
   std::cerr <<
       "usage:\n"
-      "  caml characterize <lib.sp> -o <dir> [--policy P] [--inter-shorts] [--jobs N]\n"
+      "  caml characterize <lib.sp> -o <dir> [--inter-shorts] [--jobs N]\n"
       "                    [--checkpoint-every N] [--resume]\n"
       "  caml canonicalize <lib.sp>\n"
       "  caml train <lib.sp> <camodel-dir> -o <models.caml> [--trees N] [--jobs N]\n"
-      "  caml predict <lib.sp> -m <models.caml> -o <dir> [--policy P] [--jobs N]\n"
+      "  caml predict <lib.sp> -m <models.caml> -o <dir> [--jobs N]\n"
       "  caml patterns <lib.sp> <camodel-dir>\n"
       "  caml hybrid <train.sp> <train-camodels> <target.sp> <target-camodels>\n"
       "              [--routing structural|active|hybrid] [--sim-budget B]\n"
@@ -125,8 +121,6 @@ struct Args {
       "            [--max-batch N] [--shed-target-ms N]\n"
       "  caml query <cell.sp> --socket PATH [--port N] [-o <dir>] [--ping] [--stats]\n"
       "            [--deadline-ms N]\n"
-      "policies: static | single | exhaustive (default: exhaustive for\n"
-      "cells with <= 4 inputs, single-input-change above)\n"
       "--jobs N: worker threads (default: one per hardware thread;\n"
       "1 = serial). Outputs are identical for every thread count.\n"
       "characterize journals its progress to <dir>/checkpoint.journal\n"
@@ -209,7 +203,6 @@ Args parse_args(int argc, char** argv) {
     };
     if (a == "-o" || a == "--out") args.out = value();
     else if (a == "-m" || a == "--models") args.models = value();
-    else if (a == "--policy") args.policy = value();
     else if (a == "--trees") {
       args.trees = count_value();
       if (args.trees == 0) usage("--trees needs a value >= 1");
@@ -252,21 +245,7 @@ Args parse_args(int argc, char** argv) {
     else if (a.rfind('-', 0) == 0) usage("unknown option " + a);
     else args.positional.push_back(a);
   }
-  // Validate eagerly: policy_for may run on pool workers, where usage()'s
-  // std::exit must never fire.
-  if (args.policy && *args.policy != "static" && *args.policy != "single" &&
-      *args.policy != "exhaustive") {
-    usage("unknown policy " + *args.policy);
-  }
   return args;
-}
-
-StimulusPolicy policy_for(const Args& args, const Cell& cell) {
-  if (!args.policy) return PolicyProfile{}.policy_for(cell.num_inputs());
-  if (*args.policy == "static") return StimulusPolicy::kStaticOnly;
-  if (*args.policy == "single") return StimulusPolicy::kSingleInputChange;
-  if (*args.policy == "exhaustive") return StimulusPolicy::kExhaustivePairs;
-  usage("unknown policy " + *args.policy);
 }
 
 std::vector<Cell> load_cells(const std::string& path) {
@@ -280,55 +259,30 @@ int cmd_characterize(const Args& args) {
   if (args.positional.size() != 1 || args.out.empty()) {
     usage("characterize needs a netlist and -o <dir>");
   }
-  std::filesystem::create_directories(args.out);
-  const std::vector<Cell> cells = load_cells(args.positional[0]);
-  CheckpointJournal journal(args.out, args.checkpoint_every);
-  if (args.resume) {
-    journal.load();
-    if (journal.size() > 0) {
-      std::cerr << "resuming: journal records " << journal.size() << " completed cells\n";
-    }
+  // characterize_library with its checkpoint in -o: each cell's
+  // checksummed artifact is published before the journal records it, so
+  // --resume after a crash loads the journaled cells back (re-running
+  // unreadable ones) and the final directory is byte-identical to an
+  // uninterrupted run. Report lines are written in netlist order, so
+  // stdout is identical for every --jobs value too.
+  Library library;
+  library.name = args.positional[0];
+  for (Cell& cell : load_cells(args.positional[0])) {
+    library.cells.emplace_back().cell = std::move(cell);
   }
-  // Generation (the simulation-heavy part) runs on the worker pool. A
-  // worker publishes its cell's checksummed artifact atomically and only
-  // then journals it (journal-after-data), so a crash at any instant
-  // leaves a directory --resume can trust: journaled cells are loaded
-  // back (unreadable artifacts are simply re-characterized), the rest
-  // re-run, and the final directory — journal included, since it flushes
-  // sorted — is byte-identical to an uninterrupted run. Report lines are
-  // written serially in netlist order, so stdout is identical for every
-  // --jobs value too.
-  const std::vector<CaModel> models = parallel_map(cells, args.jobs, [&](const Cell& cell) {
-    obs::TraceSpan span("characterize_cell");
-    span.attr("cell", cell.name());
-    const std::string path = args.out + "/" + cell.name() + ".camodel";
-    if (args.resume && journal.completed(cell.name())) {
-      try {
-        return read_ca_model_file(path, cell);
-      } catch (const Error& e) {
-        log_warn() << "checkpoint artifact for " << cell.name() << " is unusable ("
-                   << e.what() << "); re-characterizing";
-      }
-    }
-    GenerationOptions options;
-    options.policy = policy_for(args, cell);
-    options.universe.inter_transistor_shorts = args.inter_shorts;
-    CaModel model = generate_ca_model(cell, options);
-    write_ca_model_file(path, model, cell);
-    journal.record(cell.name());
-    return model;
-  });
-  journal.flush();
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    const CaModel& model = models[i];
-    std::cout << cell.name() << ": " << model.defects.size() << " defects, "
+  CharacterizeOptions options;
+  options.universe.inter_transistor_shorts = args.inter_shorts;
+  options.jobs = args.jobs;
+  options.checkpoint = {args.out, args.checkpoint_every, args.resume};
+  for (const CharacterizedCell& cc : characterize_library(library, options)) {
+    const CaModel& model = cc.model;
+    std::cout << cc.source.cell.name() << ": " << model.defects.size() << " defects, "
               << model.count_class(DefectClass::kStatic) << " static / "
               << model.count_class(DefectClass::kDynamic) << " dynamic / "
               << model.count_class(DefectClass::kUndetected) << " undetected, "
               << model.equivalence_classes.size() << " equivalence classes\n";
   }
-  std::cout << "wrote " << cells.size() << " CA models to " << args.out << '\n';
+  std::cout << "wrote " << library.cells.size() << " CA models to " << args.out << '\n';
   return 0;
 }
 
@@ -353,17 +307,15 @@ int cmd_canonicalize(const Args& args) {
 std::vector<CharacterizedCell> load_characterized(const std::string& netlist,
                                                   const std::string& camodel_dir) {
   std::vector<CharacterizedCell> out;
-  for (const Cell& cell : load_cells(netlist)) {
+  for (Cell& cell : load_cells(netlist)) {
     const std::string path = camodel_dir + "/" + cell.name() + ".camodel";
     if (!std::filesystem::exists(path)) {
       std::cerr << "skipping " << cell.name() << ": no model at " << path << '\n';
       continue;
     }
-    CharacterizedCell cc;
-    cc.source.cell = cell;
-    cc.model = read_ca_model_file(path, cell);
-    cc.canonical = canonicalize(cc.source.cell);
-    out.push_back(std::move(cc));
+    LibraryCell source;
+    source.cell = std::move(cell);
+    out.push_back(read_characterized_cell(source, Technology{}, camodel_dir));
   }
   if (out.empty()) throw Error("no cells with CA models under " + camodel_dir);
   return out;
@@ -415,7 +367,8 @@ int cmd_predict(const Args& args) {
         try {
           const CanonicalCell canon = canonicalize(cell);
           const CaModel predicted =
-              store.predict(cell, canon, policy_for(args, cell), SimConfig{});
+              store.predict(cell, canon, PolicyProfile{}.policy_for(cell.num_inputs()),
+                            SimConfig{});
           out.camodel_text = ca_model_to_string(predicted, cell);
           line << cell.name() << ": predicted (" << predicted.defects.size()
                << " defects, " << predicted.count_class(DefectClass::kStatic)
