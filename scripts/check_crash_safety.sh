@@ -23,7 +23,7 @@ BUILD_DIR="${1:-build-fault}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -B "$BUILD_DIR" -S "$ROOT" -DCAML_FAULT_INJECTION=ON >/dev/null
-cmake --build "$BUILD_DIR" -j --target caml_cli caml_tests characterize_library >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target caml_cli caml_tests characterize_library >/dev/null
 CAML="$BUILD_DIR/tools/caml"
 
 WORK="$(mktemp -d)"

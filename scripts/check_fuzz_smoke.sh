@@ -13,7 +13,7 @@ SECONDS_BUDGET="${2:-30}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -B "$BUILD_DIR" -S "$ROOT" -DCAML_SANITIZE=address >/dev/null
-cmake --build "$BUILD_DIR" -j --target caml_fuzz_protocol >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target caml_fuzz_protocol >/dev/null
 
 FUZZER="$BUILD_DIR/tests/fuzz/caml_fuzz_protocol"
 echo "== fuzz smoke: protocol decoders, ${SECONDS_BUDGET}s, fixed seed, ASan+UBSan"

@@ -11,7 +11,7 @@ BUILD_DIR="${1:-build}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -B "$BUILD_DIR" -S "$ROOT" >/dev/null
-cmake --build "$BUILD_DIR" -j --target caml_cli characterize_library >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target caml_cli characterize_library >/dev/null
 CAML="$BUILD_DIR/tools/caml"
 
 WORK="$(mktemp -d)"

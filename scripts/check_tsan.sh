@@ -12,6 +12,6 @@ set -eu
 BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DCAML_SANITIZE=thread -DCAML_FAULT_INJECTION=ON
-cmake --build "$BUILD_DIR" -j --target caml_tests
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target caml_tests
 "$BUILD_DIR"/tests/caml_tests --gtest_filter='ThreadPool*:Parallel*:ResolveJobs*:RandomForest*:Characterize*:Obs*:Serve*:NetFault*:BinaryStore*:Active*'
 echo "TSan concurrency check passed"

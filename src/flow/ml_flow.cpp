@@ -59,6 +59,7 @@ Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_ce
                                             cell->sim, options.matrix);
     // Identical rows (from structurally identical sibling cells) merge
     // into one weighted row, read straight from the matrix.
+    CAML_TRACE_SPAN_ITEMS("dedup_merge", matrix.num_rows());
     data.add_deduplicated(matrix.features().data(), matrix.labels().data(), matrix.num_rows());
   }
   return data;

@@ -24,6 +24,10 @@ constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
 /// Smallest table of the deduplication index.
 constexpr std::size_t kMinDedupSlots = 16;
 
+/// Rows hashed (and their home slots prefetched) ahead of their probes
+/// by the buffer merge.
+constexpr std::size_t kDedupBlock = 16;
+
 /// A dedup slot's high half is its row's hash tag, the low half the row
 /// index + 1 (so an occupied slot is never 0).
 constexpr std::uint64_t kTagMask = 0xFFFFFFFF00000000ull;
@@ -89,11 +93,10 @@ void Dataset::reserve_deduplicated(std::size_t rows) {
 }
 
 void Dataset::add_deduplicated_row(const std::int8_t* row, std::uint8_t label,
-                                   std::uint32_t weight) {
+                                   std::uint32_t weight, std::uint64_t hash) {
   if (2 * (num_rows() + 1) > dedup_slots_.size()) {
     rehash_deduplicated(std::max(kMinDedupSlots, 2 * dedup_slots_.size()));
   }
-  const std::uint64_t hash = row_hash(row, num_features_, label);
   const std::size_t pos = probe_deduplicated(row, label, hash);
   const std::uint64_t slot = dedup_slots_[pos];
   if (slot != 0) {
@@ -108,13 +111,30 @@ void Dataset::add_deduplicated_row(const std::int8_t* row, std::uint8_t label,
 void Dataset::add_deduplicated(const Dataset& other) {
   CAML_ASSERT(other.num_features() == num_features_);
   for (std::size_t r = 0; r < other.num_rows(); ++r) {
-    add_deduplicated_row(other.row(r), other.label(r), other.weight(r));
+    const std::int8_t* row = other.row(r);
+    add_deduplicated_row(row, other.label(r), other.weight(r),
+                         row_hash(row, num_features_, other.label(r)));
   }
 }
 
 void Dataset::add_deduplicated(const std::int8_t* rows, const std::uint8_t* labels,
                                std::size_t n) {
-  for (std::size_t r = 0; r < n; ++r) add_deduplicated_row(rows + r * num_features_, labels[r], 1);
+  // A block's home slots are prefetched while the block is hashed, so
+  // its probes overlap their cache misses instead of taking them one at
+  // a time. Rows are still inserted in input order: the hash only
+  // places slots, so the dataset is the same as row-by-row insertion.
+  std::uint64_t hashes[kDedupBlock];
+  for (std::size_t first = 0; first < n; first += kDedupBlock) {
+    const std::size_t count = std::min(kDedupBlock, n - first);
+    const std::size_t mask = dedup_slots_.empty() ? 0 : dedup_slots_.size() - 1;
+    for (std::size_t i = 0; i < count; ++i) {
+      hashes[i] = row_hash(rows + (first + i) * num_features_, num_features_, labels[first + i]);
+      if (mask != 0) __builtin_prefetch(dedup_slots_.data() + (hashes[i] & mask));
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      add_deduplicated_row(rows + (first + i) * num_features_, labels[first + i], 1, hashes[i]);
+    }
+  }
 }
 
 Dataset Dataset::subtract_deduplicated(const Dataset& other) const {

@@ -87,7 +87,9 @@ class Dataset {
   /// holding the equal row, or the empty slot where it would go.
   std::size_t probe_deduplicated(const std::int8_t* row, std::uint8_t label,
                                  std::uint64_t hash) const;
-  void add_deduplicated_row(const std::int8_t* row, std::uint8_t label, std::uint32_t weight);
+  /// Merges one row whose row_hash is `hash`.
+  void add_deduplicated_row(const std::int8_t* row, std::uint8_t label, std::uint32_t weight,
+                            std::uint64_t hash);
   void rehash_deduplicated(std::size_t capacity);
 
   /// Open-addressing deduplication index maintained by add_deduplicated:

@@ -1,7 +1,9 @@
 #include "ml/tree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -35,26 +37,95 @@ void DecisionTree::fit(const Dataset& data) {
   fit_indices(ColumnView(data), std::move(indices));
 }
 
+namespace {
+
+/// Drawn features whose histograms one pass over a node's rows fills:
+/// consecutive increments land in different histograms, so rows that
+/// share a bucket do not wait on one counter's previous add.
+constexpr std::size_t kFillWidth = 8;
+
+/// Adds each node row's weight to slot `bucket * 2 + label` of the
+/// histogram of each of the K columns (histogram k starts at
+/// hist + k * slots). `packed[i]` is row `rows[i]`'s weight << 1 | label.
+template <std::size_t K>
+void fill_histograms(const std::int8_t* const* columns, int min_value,
+                     const std::uint32_t* rows, const std::uint64_t* packed, std::size_t n,
+                     std::uint64_t* hist, std::size_t slots) {
+  const std::int8_t* col[K];
+  for (std::size_t k = 0; k < K; ++k) col[k] = columns[k];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t r = rows[i];
+    const std::size_t label = packed[i] & 1;
+    const std::uint64_t weight = packed[i] >> 1;
+    for (std::size_t k = 0; k < K; ++k) {
+      hist[k * slots + 2 * static_cast<std::size_t>(col[k][r] - min_value) + label] += weight;
+    }
+  }
+}
+
+template <std::size_t... K>
+constexpr auto make_fills(std::index_sequence<K...>) {
+  return std::array{&fill_histograms<K + 1>...};
+}
+/// kFills[k - 1] fills k histograms.
+constexpr auto kFills = make_fills(std::make_index_sequence<kFillWidth>{});
+
+}  // namespace
+
+/// Split-search buffers of one fit_indices call, shared by all its
+/// nodes and freed when the fit returns.
+struct DecisionTree::SplitScratch {
+  std::size_t num_features = 0;
+  /// Of the view being fitted. A threshold outside the tree's own rows
+  /// leaves one side empty and is skipped, so a wider range (a view
+  /// over more rows) visits the same candidates.
+  int min_value = 0;
+  std::size_t buckets = 0;
+  std::vector<std::uint16_t> feature_order;
+  /// Per node row (node-relative position): weight << 1 | label.
+  std::vector<std::uint64_t> packed;
+  /// The right child's rows while a node's rows are partitioned.
+  std::vector<std::uint32_t> right_rows;
+  /// kFillWidth histograms of 2 * buckets slots each, all-zero between
+  /// uses.
+  std::vector<std::uint64_t> hist;
+  /// One row of num_features flags per depth: row d marks the features
+  /// known to have no valid split over the rows of the node at depth d
+  /// being built.
+  std::vector<std::uint8_t> unsplittable;
+
+  /// Row `depth` of `unsplittable`, initialized from the parent's row
+  /// (the root's is all clear).
+  std::uint8_t* unsplittable_row(std::size_t depth) {
+    if (unsplittable.size() < (depth + 1) * num_features) {
+      unsplittable.resize((depth + 1) * num_features);
+    }
+    std::uint8_t* row = unsplittable.data() + depth * num_features;
+    if (depth == 0) std::fill(row, row + num_features, std::uint8_t{0});
+    else std::copy(row - num_features, row, row);
+    return row;
+  }
+};
+
 void DecisionTree::fit_indices(const ColumnView& columns, std::vector<std::uint32_t> indices) {
   CAML_ASSERT(!indices.empty());
+  // Rows in ascending order make every histogram fill read the columns
+  // front to back; the order of a node's rows cannot change its
+  // (integer) histograms, so the tree is the same.
+  if (!std::is_sorted(indices.begin(), indices.end())) std::sort(indices.begin(), indices.end());
   nodes_.clear();
   count0_.clear();
   count1_.clear();
-  num_features_ = columns.num_features();
-  importance_.assign(num_features_, 0.0);
-  // The view's value range bounds every row the tree reads. A threshold
-  // outside the tree's own rows leaves one side empty and is skipped, so
-  // a wider range (a view over more rows) visits the same candidates.
-  min_value_ = columns.min_value();
-  const std::size_t buckets = static_cast<std::size_t>(columns.max_value() - min_value_) + 1;
-  feature_order_.resize(num_features_);
-  // Invariant across build() nodes: the histograms are all-zero on entry
-  // to every split search — each search clears exactly the buckets it
-  // touched (see touched_ below) instead of sweeping the full range.
-  hist0_.assign(buckets, 0u);
-  hist1_.assign(buckets, 0u);
-  touched_.reserve(buckets);
-  build(columns, indices, 0, indices.size(), 0);
+  SplitScratch scratch;
+  scratch.num_features = columns.num_features();
+  scratch.min_value = columns.min_value();
+  scratch.buckets = static_cast<std::size_t>(columns.max_value() - columns.min_value()) + 1;
+  scratch.feature_order.resize(scratch.num_features);
+  scratch.packed.resize(indices.size());
+  scratch.right_rows.resize(indices.size());
+  scratch.hist.assign(kFillWidth * 2 * scratch.buckets, 0u);
+  importance_.assign(scratch.num_features, 0.0);
+  build(columns, indices, 0, indices.size(), 0, scratch);
   double total = 0.0;
   for (double v : importance_) total += v;
   if (total > 0.0) {
@@ -63,13 +134,20 @@ void DecisionTree::fit_indices(const ColumnView& columns, std::vector<std::uint3
 }
 
 std::int32_t DecisionTree::build(const ColumnView& columns, std::vector<std::uint32_t>& indices,
-                                 std::size_t begin, std::size_t end, std::size_t depth) {
-  std::uint64_t node_count0 = 0, node_count1 = 0;
+                                 std::size_t begin, std::size_t end, std::size_t depth,
+                                 SplitScratch& scratch) {
+  // One read of each row's label and weight per node; every feature's
+  // fill below reads the packed word instead.
+  std::uint64_t* packed = scratch.packed.data();
+  std::uint64_t node_count[2] = {0, 0};
   for (std::size_t i = begin; i < end; ++i) {
-    const std::uint32_t w = columns.weight(indices[i]);
-    if (columns.label(indices[i])) node_count1 += w;
-    else node_count0 += w;
+    const std::uint32_t r = indices[i];
+    const std::uint64_t w = columns.weight(r);
+    const std::uint64_t label = columns.label(r) != 0;
+    packed[i - begin] = w << 1 | label;
+    node_count[label] += w;
   }
+  const std::uint64_t node_count0 = node_count[0], node_count1 = node_count[1];
   const std::uint64_t n = node_count0 + node_count1;
   const std::int32_t id = static_cast<std::int32_t>(nodes_.size());
   nodes_.push_back(Node{});
@@ -80,19 +158,26 @@ std::int32_t DecisionTree::build(const ColumnView& columns, std::vector<std::uin
   if (pure || depth >= params_.max_depth || n < params_.min_samples_split) return id;
 
   // Histogram-based split search over a (possibly random) feature set.
-  const std::size_t buckets = hist0_.size();
-  std::vector<std::uint16_t>& feature_order = feature_order_;
-  std::iota(feature_order.begin(), feature_order.end(), static_cast<std::uint16_t>(0));
-  std::size_t features_to_try = num_features_;
-  if (params_.max_features > 0 && params_.max_features < num_features_) {
+  const std::size_t num_features = scratch.num_features;
+  const std::size_t buckets = scratch.buckets;
+  const std::size_t slots = 2 * buckets;
+  std::uint16_t* feature_order = scratch.feature_order.data();
+  std::iota(feature_order, feature_order + num_features, static_cast<std::uint16_t>(0));
+  std::size_t features_to_try = num_features;
+  if (params_.max_features > 0 && params_.max_features < num_features) {
     // Partial shuffle: first max_features entries become a random subset.
     for (std::size_t i = 0; i < params_.max_features; ++i) {
       const std::size_t j =
-          i + static_cast<std::size_t>(rng_.below(static_cast<std::uint64_t>(num_features_ - i)));
+          i + static_cast<std::size_t>(rng_.below(static_cast<std::uint64_t>(num_features - i)));
       std::swap(feature_order[i], feature_order[j]);
     }
     features_to_try = params_.max_features;
   }
+  // A feature with no valid threshold over this node's rows (it is
+  // constant, or every threshold leaves less than min_samples_leaf on a
+  // side) has none over a descendant's rows either, as those are a
+  // subset: neither this node nor a descendant fills it.
+  std::uint8_t* unsplittable = scratch.unsplittable_row(depth);
 
   const double total = static_cast<double>(n);
   double best_gini = 2.0;  // anything real is < 1
@@ -100,63 +185,71 @@ std::int32_t DecisionTree::build(const ColumnView& columns, std::vector<std::uin
   std::int8_t best_threshold = 0;
   bool found = false;
 
-  std::vector<std::uint64_t>& hist0 = hist0_;
-  std::vector<std::uint64_t>& hist1 = hist1_;
-  for (std::size_t fi = 0; fi < num_features_; ++fi) {
-    // Like scikit-learn, keep inspecting features past max_features
-    // until at least one valid split was found; stopping early on an
-    // all-constant sample would create impure leaves for rows that a
-    // remaining feature separates perfectly.
-    if (fi >= features_to_try && found) break;
-    if (fi >= features_to_try) {
-      // Extend the random subset one feature at a time.
-      const std::size_t j = fi + static_cast<std::size_t>(
-                                     rng_.below(static_cast<std::uint64_t>(num_features_ - fi)));
-      std::swap(feature_order[fi], feature_order[j]);
-    }
-    const std::uint16_t f = feature_order[fi];
-    const std::int8_t* col = columns.column(f);
-    touched_.clear();
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t r = indices[i];
-      const std::size_t b = static_cast<std::size_t>(col[r] - min_value_);
-      if ((hist0[b] | hist1[b]) == 0) touched_.push_back(static_cast<std::uint32_t>(b));
-      const std::uint32_t w = columns.weight(r);
-      if (columns.label(r)) hist1[b] += w;
-      else hist0[b] += w;
-    }
-    // Prefix scan: threshold after bucket b sends values <= b left.
-    std::uint64_t l0 = 0, l1 = 0;
-    for (std::size_t b = 0; b + 1 < buckets; ++b) {
-      l0 += hist0[b];
-      l1 += hist1[b];
-      const std::uint64_t left = l0 + l1;
-      const std::uint64_t right = n - left;
-      if (left < params_.min_samples_leaf || right < params_.min_samples_leaf) continue;
-      if (left == 0 || right == 0) continue;
-      const double dl0 = static_cast<double>(l0);
-      const double dl1 = static_cast<double>(l1);
-      const double r0 = static_cast<double>(node_count0 - l0);
-      const double r1 = static_cast<double>(node_count1 - l1);
-      const double dleft = static_cast<double>(left);
-      const double dright = static_cast<double>(right);
-      const double gl = 1.0 - (dl0 * dl0 + dl1 * dl1) / (dleft * dleft);
-      const double gr = 1.0 - (r0 * r0 + r1 * r1) / (dright * dright);
-      const double gini = (dleft * gl + dright * gr) / total;
-      if (gini < best_gini) {
-        best_gini = gini;
-        best_feature = f;
-        best_threshold = static_cast<std::int8_t>(static_cast<int>(b) + min_value_);
-        found = true;
+  std::uint64_t* hist = scratch.hist.data();
+  // Fills the histograms of features[0, k) in one pass over the rows,
+  // then scans them in that (draw) order and clears them.
+  const auto search = [&](const std::uint16_t* features, std::size_t k) {
+    const std::int8_t* cols[kFillWidth];
+    for (std::size_t j = 0; j < k; ++j) cols[j] = columns.column(features[j]);
+    const std::uint32_t* rows = indices.data() + begin;
+    const std::size_t count = end - begin;
+    const int min_value = scratch.min_value;
+    kFills[k - 1](cols, min_value, rows, packed, count, hist, slots);
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::uint64_t* h = hist + j * slots;
+      // Prefix scan: threshold after bucket b sends values <= b left.
+      std::uint64_t l0 = 0, l1 = 0;
+      bool valid = false;  // some threshold leaves enough rows on both sides
+      for (std::size_t b = 0; b + 1 < buckets; ++b) {
+        l0 += h[2 * b];
+        l1 += h[2 * b + 1];
+        const std::uint64_t left = l0 + l1;
+        const std::uint64_t right = n - left;
+        if (left < params_.min_samples_leaf || right < params_.min_samples_leaf) continue;
+        if (left == 0 || right == 0) continue;
+        valid = true;
+        const double dl0 = static_cast<double>(l0);
+        const double dl1 = static_cast<double>(l1);
+        const double r0 = static_cast<double>(node_count0 - l0);
+        const double r1 = static_cast<double>(node_count1 - l1);
+        const double dleft = static_cast<double>(left);
+        const double dright = static_cast<double>(right);
+        const double gl = 1.0 - (dl0 * dl0 + dl1 * dl1) / (dleft * dleft);
+        const double gr = 1.0 - (r0 * r0 + r1 * r1) / (dright * dright);
+        const double gini = (dleft * gl + dright * gr) / total;
+        if (gini < best_gini) {
+          best_gini = gini;
+          best_feature = features[j];
+          best_threshold = static_cast<std::int8_t>(static_cast<int>(b) + min_value);
+          found = true;
+        }
       }
+      if (!valid) unsplittable[features[j]] = 1;
     }
-    // Restore the all-zero invariant by clearing only the buckets this
-    // node's rows actually landed in — a node spanning few distinct
-    // values no longer pays for the full value range.
-    for (const std::uint32_t b : touched_) {
-      hist0[b] = 0;
-      hist1[b] = 0;
+    std::fill(hist, hist + k * slots, std::uint64_t{0});
+  };
+  // The drawn features, kFillWidth histograms per pass over the rows.
+  std::uint16_t batch[kFillWidth];
+  std::size_t batched = 0;
+  for (std::size_t fi = 0; fi < features_to_try; ++fi) {
+    if (unsplittable[feature_order[fi]]) continue;
+    batch[batched++] = feature_order[fi];
+    if (batched == kFillWidth) {
+      search(batch, batched);
+      batched = 0;
     }
+  }
+  if (batched > 0) search(batch, batched);
+  // Like scikit-learn, keep inspecting features past max_features until
+  // at least one valid split was found; stopping early on an
+  // all-constant sample would create impure leaves for rows that a
+  // remaining feature separates perfectly. The random subset grows one
+  // feature at a time, so no draw is made once a split exists.
+  for (std::size_t fi = features_to_try; fi < num_features && !found; ++fi) {
+    const std::size_t j =
+        fi + static_cast<std::size_t>(rng_.below(static_cast<std::uint64_t>(num_features - fi)));
+    std::swap(feature_order[fi], feature_order[j]);
+    if (!unsplittable[feature_order[fi]]) search(feature_order + fi, 1);
   }
   // No valid split means every row is identical on every feature (or
   // leaf-size limits forbid all partitions): an honest mixed leaf.
@@ -174,18 +267,22 @@ std::int32_t DecisionTree::build(const ColumnView& columns, std::vector<std::uin
   }
 
   const std::int8_t* best_col = columns.column(best_feature);
-  const auto mid_it =
-      std::partition(indices.begin() + static_cast<std::ptrdiff_t>(begin),
-                     indices.begin() + static_cast<std::ptrdiff_t>(end),
-                     [&](std::uint32_t r) { return best_col[r] <= best_threshold; });
-  const std::size_t mid = static_cast<std::size_t>(mid_it - indices.begin());
+  // Stable partition: both children keep their rows ascending.
+  std::uint32_t* right_rows = scratch.right_rows.data();
+  std::size_t mid = begin, num_right = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::uint32_t r = indices[i];
+    if (best_col[r] <= best_threshold) indices[mid++] = r;
+    else right_rows[num_right++] = r;
+  }
+  std::copy(right_rows, right_rows + num_right, indices.data() + mid);
   CAML_ASSERT(mid > begin && mid < end);
 
   nodes_[static_cast<std::size_t>(id)].feature = best_feature;
   nodes_[static_cast<std::size_t>(id)].threshold = best_threshold;
-  const std::int32_t left = build(columns, indices, begin, mid, depth + 1);
+  const std::int32_t left = build(columns, indices, begin, mid, depth + 1, scratch);
   nodes_[static_cast<std::size_t>(id)].left = left;
-  const std::int32_t right = build(columns, indices, mid, end, depth + 1);
+  const std::int32_t right = build(columns, indices, mid, end, depth + 1, scratch);
   nodes_[static_cast<std::size_t>(id)].right = right;
   return id;
 }

@@ -112,8 +112,10 @@ class DecisionTree : public Classifier {
   Nodes nodes() const { return Nodes(*this); }
 
  private:
+  struct SplitScratch;
   std::int32_t build(const ColumnView& columns, std::vector<std::uint32_t>& indices,
-                     std::size_t begin, std::size_t end, std::size_t depth);
+                     std::size_t begin, std::size_t end, std::size_t depth,
+                     SplitScratch& scratch);
 
   TreeParams params_;
   Rng rng_;
@@ -122,13 +124,6 @@ class DecisionTree : public Classifier {
   std::vector<std::uint64_t> count0_;
   std::vector<std::uint64_t> count1_;
   std::vector<double> importance_;
-  // Scratch buffers reused across build() nodes (hot path).
-  std::vector<std::uint16_t> feature_order_;
-  std::vector<std::uint64_t> hist0_;
-  std::vector<std::uint64_t> hist1_;
-  std::vector<std::uint32_t> touched_;  ///< histogram buckets to clear
-  std::size_t num_features_ = 0;
-  std::int8_t min_value_ = 0;  ///< of the view being fitted; never persisted
 };
 
 }  // namespace caml

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <sstream>
 
 #include "ml/dataset.hpp"
@@ -495,6 +496,39 @@ TEST(Dataset, DeduplicationIndexMatchesMapOracle) {
       expect_matches_oracle(data, oracle.rows, oracle.weights);
     }
 
+    // Buffer merges at the edges of the merge's 16-row hash blocks:
+    // lengths below, at and past a block multiple; rows repeated up to
+    // 15 rows later, so inside one block; and a fresh dataset with no
+    // reservation, whose index grows in the middle of a block.
+    for (const std::size_t rows : {std::size_t{15}, std::size_t{16}, std::size_t{17},
+                                   std::size_t{31}, std::size_t{33}, 40 + rng.below(60)}) {
+      std::vector<std::int8_t> buffer;
+      std::vector<std::uint8_t> labels;
+      std::vector<std::int8_t> row(features);
+      for (std::size_t r = 0; r < rows; ++r) {
+        if (r > 0 && rng.chance(0.4)) {
+          const std::size_t from = r - 1 - rng.below(std::min<std::size_t>(r, 15));
+          row.assign(buffer.begin() + static_cast<std::ptrdiff_t>(from * features),
+                     buffer.begin() + static_cast<std::ptrdiff_t>((from + 1) * features));
+          labels.push_back(labels[from]);
+        } else {
+          for (auto& v : row) v = static_cast<std::int8_t>(rng.range(-span, span));
+          labels.push_back(static_cast<std::uint8_t>(rng.below(2)));
+        }
+        buffer.insert(buffer.end(), row.begin(), row.end());
+      }
+      DedupOracle one;
+      for (std::size_t r = 0; r < rows; ++r) {
+        one.add(buffer.data() + r * features, features, labels[r], 1);
+        oracle.add(buffer.data() + r * features, features, labels[r], 1);
+      }
+      Dataset fresh(features);
+      fresh.add_deduplicated(buffer.data(), labels.data(), rows);
+      expect_matches_oracle(fresh, one.rows, one.weights);
+      data.add_deduplicated(buffer.data(), labels.data(), rows);
+      expect_matches_oracle(data, oracle.rows, oracle.weights);
+    }
+
     // subtract_deduplicated: remaining weights in master order, rows at
     // zero omitted.
     const Dataset& held = parts[rng.below(parts.size())];
@@ -593,6 +627,109 @@ TEST(ColumnView, SampledRowsCarryLabelsWeightsAndRange) {
   EXPECT_EQ(some.weight(1), 3u);
   EXPECT_EQ(some.min_value(), 0);
   EXPECT_EQ(some.max_value(), 2);
+}
+
+// The split search against an independent plain CART (test_support's
+// reference_cart): every node record, over random trees that cover unit
+// and large weights, value ranges up to the full int8 span, every
+// max_features (also none and past the feature count), all-constant
+// features that force the subset to grow, leaf-size and depth limits,
+// and repeated or unordered rows.
+TEST(DecisionTree, SplitSearchMatchesReferenceCart) {
+  std::size_t full_span = 0, grown_subsets = 0, leaf_limits = 0, depth_caps = 0, repeats = 0,
+              heavy = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::size_t features = 1 + rng.below(24);
+    int lo = 0, hi = 0;
+    switch (seed % 4) {
+      case 0: lo = -128, hi = 127; break;
+      case 1: lo = 0, hi = static_cast<int>(rng.below(3)); break;
+      default:
+        lo = static_cast<int>(rng.range(-128, 127));
+        hi = std::min(127, lo + static_cast<int>(rng.below(40)));
+    }
+    // Constant columns: a node that draws only these must grow its
+    // subset one feature at a time.
+    std::vector<int> constant(features, -1000);
+    for (int& c : constant) {
+      if (rng.chance(0.4)) c = static_cast<int>(rng.range(lo, hi));
+    }
+    const std::uint32_t max_weight =
+        seed % 3 == 0 ? 1u : seed % 3 == 1 ? 3u : std::uint32_t{1} << 28;
+    heavy += max_weight > 3 ? 1 : 0;
+    Dataset data(features);
+    const std::size_t num_rows = 1 + rng.below(300);
+    const std::size_t signal = rng.below(features);
+    std::vector<std::int8_t> row(features);
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      for (std::size_t f = 0; f < features; ++f) {
+        row[f] = static_cast<std::int8_t>(constant[f] != -1000 ? constant[f] : rng.range(lo, hi));
+      }
+      const bool label = (row[signal] > (lo + hi) / 2) != rng.chance(0.2);
+      data.add_row(row.data(), label ? 1 : 0,
+                   static_cast<std::uint32_t>(1 + rng.below(max_weight)));
+    }
+    // A view over all rows or over an ascending subset of them.
+    std::vector<std::uint32_t> subset;
+    for (std::uint32_t r = 0; r < num_rows; ++r) {
+      if (rng.chance(0.7)) subset.push_back(r);
+    }
+    if (subset.empty()) subset.push_back(0);
+    const ColumnView view = rng.chance(0.5) ? ColumnView(data) : ColumnView(data, subset);
+    std::vector<std::uint32_t> indices(view.num_rows());
+    std::iota(indices.begin(), indices.end(), 0u);
+    if (rng.chance(0.5)) {
+      // Drawn with replacement, in draw order.
+      for (std::uint32_t& i : indices) i = static_cast<std::uint32_t>(rng.below(view.num_rows()));
+      repeats += 1;
+    } else if (rng.chance(0.5)) {
+      rng.shuffle(indices);
+    }
+
+    TreeParams params;
+    const std::uint64_t mean_weight = (std::uint64_t{max_weight} + 1) / 2;
+    if (rng.chance(0.3)) {
+      params.max_depth = 1 + rng.below(6);
+      depth_caps += 1;
+    }
+    if (rng.chance(0.3)) {
+      params.min_samples_leaf = 1 + rng.below(4 * mean_weight);
+      leaf_limits += params.min_samples_leaf > 1 ? 1 : 0;
+    }
+    if (rng.chance(0.3)) params.min_samples_split = 1 + rng.below(8 * mean_weight);
+    const std::size_t choice = rng.below(10);
+    params.max_features = choice == 0 ? 0 : choice == 1 ? features + rng.below(3)
+                                                        : 1 + rng.below(features);
+    full_span += view.max_value() - view.min_value() == 255 ? 1 : 0;
+    const std::uint64_t tree_seed = rng.next();
+
+    DecisionTree tree(params, tree_seed);
+    tree.fit_indices(view, indices);
+    const testing::ReferenceTree reference =
+        testing::reference_cart(view, indices, params, tree_seed);
+    const std::vector<DecisionTree::NodeRecord>& expected = reference.records;
+    grown_subsets += reference.grown > 0 ? 1 : 0;
+    ASSERT_EQ(tree.num_nodes(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const DecisionTree::NodeRecord a = tree.node_record(i);
+      const DecisionTree::NodeRecord& b = expected[i];
+      ASSERT_TRUE(a.left == b.left && a.right == b.right && a.feature == b.feature &&
+                  a.threshold == b.threshold && a.count0 == b.count0 && a.count1 == b.count1)
+          << "node " << i << ": left " << a.left << "/" << b.left << " right " << a.right << "/"
+          << b.right << " feature " << a.feature << "/" << b.feature << " threshold "
+          << int{a.threshold} << "/" << int{b.threshold} << " counts " << a.count0 << ","
+          << a.count1 << "/" << b.count0 << "," << b.count1;
+    }
+  }
+  // The generator covers every case named above.
+  EXPECT_GE(full_span, 50u);
+  EXPECT_GE(grown_subsets, 100u);
+  EXPECT_GE(leaf_limits, 50u);
+  EXPECT_GE(depth_caps, 50u);
+  EXPECT_GE(repeats, 100u);
+  EXPECT_GE(heavy, 100u);
 }
 
 // RandomForest transposes only the rows its trees drew. The forest must

@@ -1,5 +1,7 @@
 #include "test_support.hpp"
 
+#include <map>
+#include <numeric>
 #include <sstream>
 
 #include "ml/forest_walk.hpp"
@@ -127,6 +129,102 @@ ProductVotes row_wise_votes(const RandomForest& forest, const std::int8_t* rows,
     out.margin.push_back(vote_margin(vote1, trees));
   }
   return out;
+}
+
+namespace {
+
+struct ReferenceCart {
+  const ColumnView& columns;
+  const TreeParams& params;
+  Rng rng;
+  ReferenceTree tree;
+
+  std::int32_t grow(const std::vector<std::uint32_t>& rows, std::size_t depth) {
+    DecisionTree::NodeRecord node;
+    for (const std::uint32_t r : rows) {
+      (columns.label(r) != 0 ? node.count1 : node.count0) += columns.weight(r);
+    }
+    const std::uint64_t n = node.count0 + node.count1;
+    const std::int32_t id = static_cast<std::int32_t>(tree.records.size());
+    tree.records.push_back(node);
+    if (node.count0 == 0 || node.count1 == 0 || depth >= params.max_depth ||
+        n < params.min_samples_split) {
+      return id;
+    }
+
+    const std::size_t features = columns.num_features();
+    std::vector<std::uint16_t> order(features);
+    std::iota(order.begin(), order.end(), std::uint16_t{0});
+    std::size_t to_try = features;
+    if (params.max_features > 0 && params.max_features < features) {
+      for (std::size_t i = 0; i < params.max_features; ++i) {
+        std::swap(order[i], order[i + rng.below(features - i)]);
+      }
+      to_try = params.max_features;
+    }
+    double best = 2.0;
+    std::uint16_t best_feature = 0;
+    int best_threshold = 0;
+    bool found = false;
+    for (std::size_t fi = 0; fi < features && (fi < to_try || !found); ++fi) {
+      if (fi >= to_try) {
+        std::swap(order[fi], order[fi + rng.below(features - fi)]);
+        tree.grown += 1;
+      }
+      const std::uint16_t f = order[fi];
+      // Weighted (label 0, label 1) counts per value present in the node.
+      std::map<int, std::pair<std::uint64_t, std::uint64_t>> counts;
+      for (const std::uint32_t r : rows) {
+        auto& c = counts[columns.column(f)[r]];
+        (columns.label(r) != 0 ? c.second : c.first) += columns.weight(r);
+      }
+      // Threshold v sends values <= v left; a threshold between two
+      // present values splits like the lower one, so only present
+      // values (but the largest) are candidates.
+      std::uint64_t l0 = 0, l1 = 0;
+      for (auto it = counts.begin(); std::next(it) != counts.end(); ++it) {
+        l0 += it->second.first;
+        l1 += it->second.second;
+        const std::uint64_t left = l0 + l1, right = n - left;
+        if (left < params.min_samples_leaf || right < params.min_samples_leaf) continue;
+        const double dl0 = static_cast<double>(l0), dl1 = static_cast<double>(l1);
+        const double r0 = static_cast<double>(node.count0 - l0);
+        const double r1 = static_cast<double>(node.count1 - l1);
+        const double dleft = static_cast<double>(left), dright = static_cast<double>(right);
+        const double gl = 1.0 - (dl0 * dl0 + dl1 * dl1) / (dleft * dleft);
+        const double gr = 1.0 - (r0 * r0 + r1 * r1) / (dright * dright);
+        const double gini = (dleft * gl + dright * gr) / static_cast<double>(n);
+        if (gini < best) {
+          best = gini;
+          best_feature = f;
+          best_threshold = it->first;
+          found = true;
+        }
+      }
+    }
+    if (!found) return id;
+
+    std::vector<std::uint32_t> left_rows, right_rows;
+    for (const std::uint32_t r : rows) {
+      (columns.column(best_feature)[r] <= best_threshold ? left_rows : right_rows).push_back(r);
+    }
+    tree.records[static_cast<std::size_t>(id)].feature = best_feature;
+    tree.records[static_cast<std::size_t>(id)].threshold = static_cast<std::int8_t>(best_threshold);
+    const std::int32_t left = grow(left_rows, depth + 1);
+    tree.records[static_cast<std::size_t>(id)].left = left;
+    const std::int32_t right = grow(right_rows, depth + 1);
+    tree.records[static_cast<std::size_t>(id)].right = right;
+    return id;
+  }
+};
+
+}  // namespace
+
+ReferenceTree reference_cart(const ColumnView& columns, const std::vector<std::uint32_t>& indices,
+                             const TreeParams& params, std::uint64_t seed) {
+  ReferenceCart cart{columns, params, Rng(seed), {}};
+  cart.grow(indices, 0);
+  return cart.tree;
 }
 
 double accuracy(const std::vector<std::uint8_t>& truth,

@@ -48,6 +48,24 @@ SmallCorpus make_small_corpus();
 ProductVotes row_wise_votes(const RandomForest& forest, const std::int8_t* rows, std::size_t n,
                             std::size_t stride);
 
+/// Independent referee for DecisionTree::fit_indices: a plain CART that
+/// searches each node one feature at a time over a per-value count map.
+/// It follows the documented rules — node counts and leaf tests first;
+/// then a partial shuffle (Rng(seed).below per slot) draws max_features
+/// features (0 or >= the feature count: all, no draws); they are
+/// searched in draw order, and past them the subset grows by one drawn
+/// feature at a time while no split was found; a split needs weighted
+/// min_samples_leaf rows on each side; the lowest Gini wins, the first
+/// lowest (in draw order, then lowest threshold) on ties. Records come
+/// in the tree's order: a node, its left subtree, its right subtree.
+struct ReferenceTree {
+  std::vector<DecisionTree::NodeRecord> records;
+  /// Features drawn past max_features (the subset grew).
+  std::size_t grown = 0;
+};
+ReferenceTree reference_cart(const ColumnView& columns, const std::vector<std::uint32_t>& indices,
+                             const TreeParams& params, std::uint64_t seed);
+
 /// Share of equal labels in [0, 1] (0 when empty); the lengths must
 /// match.
 double accuracy(const std::vector<std::uint8_t>& truth,
